@@ -249,15 +249,6 @@ func BenchmarkAblationReclaim(b *testing.B) {
 	b.Run("off", func(b *testing.B) { runMix(b, klsmq.NewNoReclaim(256)) })
 }
 
-// BenchmarkAblationMinCache measures the delete-min fast path (DESIGN.md
-// E9): the Figure 3 mix with the min-caching layer (DistLSM per-block min
-// cache, shared-k-LSM candidate window, skip-shared hint) on (default) and
-// off. Run at -cpu 4 or higher for the acceptance comparison.
-func BenchmarkAblationMinCache(b *testing.B) {
-	b.Run("on", func(b *testing.B) { runMix(b, klsmq.New(256)) })
-	b.Run("off", func(b *testing.B) { runMix(b, klsmq.NewNoMinCache(256)) })
-}
-
 // BenchmarkAblationSpy isolates the spy path (DESIGN.md E8): consumers
 // delete far more than they insert, so their DistLSMs run dry and most
 // delete-mins must spy — the DLSM's known scalability limit (§7). A trickle

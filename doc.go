@@ -88,18 +88,18 @@
 // batching structure per block and its shared-structure candidate window
 // across TryDeleteMin calls. The window is maintained incrementally — a
 // shared-structure change re-materializes only the candidates it added,
-// not the whole O(k) set — and feeds a small per-handle deletion buffer
-// (WithDeletionBuffer): candidates from both structures are staged locally
-// and the common delete is a buffer pop whose only shared-state touches
-// are one pointer check and the claiming CAS. A sticky skip-shared hint
-// (WithStickyHint) lets runs of deletes whose minimum is handle-local skip
-// the shared structure entirely, re-validated against each newly published
-// array's minimum-key floor. In the steady state a delete-min is a handful
-// of key compares instead of a rescan of both structures (see
-// BenchmarkAblationMinCache and DESIGN.md). All three are pure caches over
-// the same take-CAS protocol: the ρ = T·k bound, local ordering, and
-// exactly-once deletion are identical with any of them disabled
-// (WithMinCaching(false), WithDeletionBuffer(0), WithStickyHint(0)).
+// not the whole O(k) set — and feeds a small per-handle deletion buffer:
+// candidates from both structures are staged locally and the common delete
+// is a buffer pop whose only shared-state touches are one pointer check and
+// the claiming CAS. A sticky skip-shared hint lets runs of deletes whose
+// minimum is handle-local skip the shared structure entirely, re-validated
+// against each newly published array's minimum-key floor. In the steady
+// state a delete-min is a handful of key compares instead of a rescan of
+// both structures (see DESIGN.md). All three are pure caches over the same
+// take-CAS protocol: every candidate they hand out is claimed by a
+// version-checked CAS and bounded exactly as a fresh scan's would be, so
+// the ρ = T·k bound, local ordering and exactly-once deletion are those of
+// Listings 2, 3 and 5.
 //
 // # Lazy deletion and the merge filter
 //

@@ -77,20 +77,6 @@ func ExampleWithItemReclamation() {
 	// 1 10 true
 }
 
-func ExampleWithMinCaching() {
-	// Min caching (default on) is the delete-min fast path: each handle
-	// caches block minima and its shared candidate window across calls.
-	// Disabling it exists for the ablation benchmarks.
-	q := klsm.New[string](klsm.WithMinCaching(false))
-	h := q.NewHandle()
-	h.Insert(2, "b")
-	h.Insert(1, "a")
-	key, val, ok := h.TryDeleteMin()
-	fmt.Println(key, val, ok)
-	// Output:
-	// 1 a true
-}
-
 func ExampleQueue_SetRelaxation() {
 	// k is run-time configurable (paper §1): loosen it under load, tighten
 	// it when ordering matters more than throughput.

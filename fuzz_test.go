@@ -69,10 +69,9 @@ func FuzzSingleHandleExact(f *testing.F) {
 // relaxation-aware matching: every returned key must be among the ρ+1
 // smallest the model holds, with ρ = T·k for the peak number of open
 // handles (closed handles drain to the shared structure, so their items
-// stay matched). The first byte also selects the deletion-buffer capacity
-// (including off and a degenerate size 1), so the corpus exercises buffered
-// candidates surviving — and flushing across — Quiesce, handle close, and
-// the final drain. The seed corpus encodes interleavings that have been
+// stay matched). The corpus exercises buffered candidates surviving — and
+// flushing across — Quiesce, handle close, and the final drain. The seed
+// corpus encodes interleavings that have been
 // load-bearing in development: close-with-items mid-stream, quiesce between
 // bursts, drain-after-churn (the dry-candidate-window shape behind the
 // overlay-only relaxation bug the k-bound suite caught), handle churn
@@ -87,7 +86,7 @@ func FuzzMixedOpsRelaxed(f *testing.F) {
 	f.Add([]byte{0x40, 0x00, 0x08, 0x10, 0x18, 0x20, 0x28, 0x05, 0x03, 0x0b, 0x13, 0x1b, 0x23, 0x2b, 0x33})
 	// close/open churn interleaved with everything, ending in quiesce.
 	f.Add([]byte{0x00, 0x05, 0x08, 0x06, 0x10, 0x05, 0x03, 0x06, 0x18, 0x07, 0x0b, 0x07})
-	// warm-buffer lifecycle at k=64 with the full 32-entry buffer: deletes
+	// warm-buffer lifecycle at k=64: deletes
 	// fill the buffer, a quiesce publishes under it (anchor break), a handle
 	// opens and closes around further buffered pops, then the drain flushes
 	// whatever is left — conservation must hold throughout.
@@ -97,13 +96,11 @@ func FuzzMixedOpsRelaxed(f *testing.F) {
 			return
 		}
 		ks := []int{0, 4, 64}
-		bufs := []int{32, 0, 1, 4}
-		k, buf := 0, 32
+		k := 0
 		if len(data) > 0 {
 			k = ks[int(data[0]>>6)%len(ks)]
-			buf = bufs[int(data[0]>>4)%len(bufs)]
 		}
-		q := New[struct{}](WithRelaxation(k), WithDeletionBuffer(buf))
+		q := New[struct{}](WithRelaxation(k))
 		model := binheap.New(2)
 		const maxOpen = 4
 		handles := []*Handle[struct{}]{q.NewHandle()}

@@ -47,17 +47,15 @@ import (
 // uniform-random draw, strictly better for rank quality — and ascending
 // order is also what lets one guard key validate the whole dist prefix.
 const (
-	// defaultDelBufSize is the deletion-buffer capacity when the
-	// configuration leaves DeletionBufferSize zero.
-	defaultDelBufSize = 32
-	// defaultStickyHintOps is the sticky-hint streak budget when the
-	// configuration leaves StickyHintOps zero.
-	defaultStickyHintOps = 64
+	// delBufSize is the deletion-buffer capacity. Larger buffers amortize
+	// refills further but pin the handle to its anchored view longer,
+	// surfacing staler (still bound-respecting) keys.
+	delBufSize = 32
 	// delBufPerBlock bounds how many candidates one DistLSM block
 	// contributes per fill.
 	delBufPerBlock = 8
-	// maxDrainFill caps the refill size DrainMin may request beyond the
-	// configured capacity.
+	// maxDrainFill caps the refill size DrainMin may request beyond
+	// delBufSize.
 	maxDrainFill = 1024
 )
 
@@ -103,7 +101,7 @@ func (h *Handle[V]) bufInsert(it *item.Item[V], ver, key uint64) {
 	h.buf = append(h.buf, item.Snap[V]{})
 	copy(h.buf[i+1:], h.buf[i:])
 	h.buf[i] = item.Snap[V]{It: it, Ver: ver, Key: key}
-	if len(h.buf)-h.bufPos > h.bufCap {
+	if len(h.buf)-h.bufPos > delBufSize {
 		// Keep the buffer bounded: the dropped tail entry stays live and
 		// findable, like any flushed candidate. The cap must come down to
 		// the largest remaining entry, though — at the old cap, a later
@@ -165,18 +163,14 @@ func (h *Handle[V]) bufNext() (item.Snap[V], bool) {
 // anchor holds. Reports whether any entries were buffered.
 func (h *Handle[V]) bufRefill() bool {
 	h.bufInvalidate()
-	max := h.bufCap
+	max := delBufSize
 	if h.fillHint > max {
 		max = min(h.fillHint, maxDrainFill)
 	}
 	mode := h.q.cfg.Mode
 	capKey := ^uint64(0)
 	if mode != DistOnly {
-		var ok bool
-		h.buf, h.bufAnchor, capKey, ok = h.q.shared.FillCandidates(h.cursor, h.buf[:0], max)
-		if !ok {
-			return false // min caching off: no window to fill from
-		}
+		h.buf, h.bufAnchor, capKey = h.q.shared.FillCandidates(h.cursor, h.buf[:0], max)
 	}
 	if mode != SharedOnly {
 		// Small fills spread their budget across blocks (delBufPerBlock);
@@ -184,7 +178,7 @@ func (h *Handle[V]) bufRefill() bool {
 		// big block, an 8-entry allowance would put the guard at that
 		// block's 9th key and truncate the whole fill to it.
 		perBlock := delBufPerBlock
-		if max > h.bufCap {
+		if max > delBufSize {
 			perBlock = max
 		}
 		var guard uint64

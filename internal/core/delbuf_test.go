@@ -151,25 +151,3 @@ func TestDeletionBufferModes(t *testing.T) {
 		}
 	}
 }
-
-// TestDeletionBufferDisabled: DisableDeletionBuffer keeps every delete on
-// the direct path; the buffer counters must stay zero.
-func TestDeletionBufferDisabled(t *testing.T) {
-	q := NewQueue(Config[int]{
-		K: 16, Mode: Combined, LocalOrdering: true,
-		DisableDeletionBuffer: true,
-	})
-	h := q.NewHandle()
-	const n = 300
-	for i := 0; i < n; i++ {
-		h.Insert(uint64(i), i)
-	}
-	for i := 0; i < n; i++ {
-		if _, _, ok := h.TryDeleteMin(); !ok {
-			t.Fatalf("empty after %d of %d", i, n)
-		}
-	}
-	if f, p := h.BufFills.Load(), h.BufPops.Load(); f != 0 || p != 0 {
-		t.Fatalf("disabled buffer still used: %d fills, %d pops", f, p)
-	}
-}

@@ -23,12 +23,10 @@ func (h *Handle[V]) Meld(other *Queue[V]) {
 	if other == nil || other.Queue() == h.q {
 		return
 	}
-	if h.bufCap > 0 {
-		// Melded-in keys may undercut the buffer's fill-time bounds. The
-		// shared-side inserts below would invalidate the anchor anyway;
-		// flushing up front keeps the reasoning local.
-		h.bufInvalidate()
-	}
+	// Melded-in keys may undercut the buffer's fill-time bounds. The
+	// shared-side inserts below would invalidate the anchor anyway;
+	// flushing up front keeps the reasoning local.
+	h.bufInvalidate()
 	// Announce this reader to other's guard for the §4.4 reuse contract:
 	// while active, none of other's handles recycles a retired published
 	// block, so every block pointer read below stays valid.

@@ -1,43 +1,36 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"klsm/internal/xrand"
 )
 
-// peekMatrix is the S-configuration grid PeekMin must behave identically
-// on: the deletion buffer and min caching each toggled independently (the
-// buffer requires caching, so {buf on, caching off} degenerates to buffer
-// off — included anyway to pin the degeneration).
+// peekMatrix is the configuration grid PeekMin must behave identically on:
+// the three operating modes, each with its own candidate sources (the
+// deletion buffer over the DistLSM, the shared window, or both). The
+// combined row is named for what it runs: the deletion buffer over the
+// min caches (buf+cache).
 func peekMatrix() []struct {
 	name string
 	cfg  Config[uint64]
 } {
-	base := Config[uint64]{K: 64, Mode: Combined, LocalOrdering: true}
-	grid := []struct {
+	return []struct {
 		name string
 		cfg  Config[uint64]
 	}{
-		{"buf+cache", base},
-		{"nobuf+cache", base},
-		{"buf+nocache", base},
-		{"nobuf+nocache", base},
+		{"buf+cache", Config[uint64]{K: 64, Mode: Combined, LocalOrdering: true}},
+		{"distonly", Config[uint64]{K: 64, Mode: DistOnly, LocalOrdering: true}},
+		{"sharedonly", Config[uint64]{K: 64, Mode: SharedOnly, LocalOrdering: true}},
 	}
-	grid[1].cfg.DisableDeletionBuffer = true
-	grid[2].cfg.DisableMinCaching = true
-	grid[3].cfg.DisableDeletionBuffer = true
-	grid[3].cfg.DisableMinCaching = true
-	return grid
 }
 
 // TestPeekMinMatchesDelete is the single-handle consistency contract: with
 // one handle and no concurrent mutation, every PeekMin must return exactly
 // the key/value the immediately following TryDeleteMin pops — in every
-// buffer × min-caching configuration. This pins the PR 10 fix where the
-// buffered fast path and the peek slow path could disagree (peek rescanned
-// the structure while delete popped from the buffer).
+// mode. This pins the fix where the buffered fast path and the peek slow
+// path could disagree (peek rescanned the structure while delete popped
+// from the buffer).
 func TestPeekMinMatchesDelete(t *testing.T) {
 	for _, tc := range peekMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,18 +196,5 @@ func TestPeekMinAcrossHandles(t *testing.T) {
 				t.Fatalf("reader drained %d of %d", popped, n)
 			}
 		})
-	}
-}
-
-func init() {
-	// Guard against the matrix silently collapsing: the four entries must
-	// be distinct configurations.
-	seen := map[string]bool{}
-	for _, tc := range peekMatrix() {
-		key := fmt.Sprintf("%v/%v", tc.cfg.DisableDeletionBuffer, tc.cfg.DisableMinCaching)
-		if seen[key] {
-			panic("peekMatrix: duplicate configuration " + tc.name)
-		}
-		seen[key] = true
 	}
 }

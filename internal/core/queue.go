@@ -87,44 +87,12 @@ type Config[V any] struct {
 	// The zero value (pooling on) is the paper's configuration; disabling
 	// exists for the allocation ablation benchmarks and as an escape hatch.
 	DisablePooling bool
-	// DisableMinCaching turns off the delete-min fast path: the DistLSM
-	// per-block min cache, the shared k-LSM candidate window, and the
-	// skip-shared hint. The zero value (caching on) is the performant
-	// configuration; disabling exists for the ablation benchmarks and as an
-	// escape hatch. Semantics are identical either way.
-	DisableMinCaching bool
 	// DisableItemReclamation turns off the §4.4 per-block item reference
-	// counts: taken items are then reclaimed only where a structural proof
-	// exists (the sequential LSM) and fall back to the garbage collector
-	// everywhere else. The zero value (reclamation on) is the paper's
-	// deterministic scheme; it requires pooling and is implicitly off when
-	// DisablePooling is set. Semantics are identical either way.
+	// counts: taken items then fall back to the garbage collector. The zero
+	// value (reclamation on) is the paper's deterministic scheme; it
+	// requires pooling and is implicitly off when DisablePooling is set.
+	// Semantics are identical either way.
 	DisableItemReclamation bool
-	// DisableDeletionBuffer turns off the per-handle deletion buffer: the
-	// MultiQueue-style fast path where TryDeleteMin refills a small
-	// owner-local buffer of version-stamped candidates from the shared
-	// candidate window and the DistLSM min scan in one pass, and the common
-	// delete is a buffer pop validated only by the item's version. The zero
-	// value (buffer on) is the performant configuration; the buffer requires
-	// min caching and is implicitly off when DisableMinCaching is set.
-	// Semantics — the ρ = T·k bound and local ordering — are identical
-	// either way.
-	DisableDeletionBuffer bool
-	// DeletionBufferSize is the per-handle deletion-buffer capacity; 0 means
-	// the default (32). Larger buffers amortize refills further but pin the
-	// handle to its anchored view longer, surfacing staler (still
-	// bound-respecting) keys.
-	DeletionBufferSize int
-	// DisableStickyHint turns off the sticky skip-shared hint: the
-	// generalization of the exact-pointer MinHint that re-validates across
-	// shared publications against the new array's minimum-key floor, for a
-	// bounded streak of operations. Implicitly off when DisableMinCaching is
-	// set. Semantics are identical either way.
-	DisableStickyHint bool
-	// StickyHintOps is the sticky-hint streak budget: the number of
-	// consecutive cross-publication re-validations allowed before the hint
-	// must run a full shared-side query. 0 means the default (64).
-	StickyHintOps int
 }
 
 // Queue is the combined k-LSM relaxed priority queue. Create handles with
@@ -142,11 +110,9 @@ type Queue[V any] struct {
 	// kCurrent tracks the run-time-configurable relaxation parameter
 	// (SetRelaxation); cfg.K is only its initial value.
 	kCurrent atomic.Int64
-	// closedInserted/closedDeleted accumulate the operation totals of
-	// closed handles so Size stays correct across handle churn. Guarded by
-	// mu.
-	closedInserted int64
-	closedDeleted  int64
+	// closed accumulates the counters of closed handles so Size and Stats
+	// stay lifetime totals across handle churn. Guarded by mu.
+	closed QueueStats
 	// zombies holds DistLSMs of closed handles that still contain items
 	// (DistOnly mode only, where no shared structure can absorb them); they
 	// must stay spy-able. Guarded by mu.
@@ -192,14 +158,6 @@ func NewQueue[V any](cfg Config[V]) *Queue[V] {
 	q := &Queue[V]{cfg: cfg}
 	q.kCurrent.Store(int64(cfg.K))
 	q.shared = sharedlsm.New[V](cfg.K, cfg.LocalOrdering)
-	q.shared.SetMinCaching(!cfg.DisableMinCaching)
-	if !cfg.DisableMinCaching && !cfg.DisableStickyHint {
-		ops := cfg.StickyHintOps
-		if ops <= 0 {
-			ops = defaultStickyHintOps
-		}
-		q.shared.SetStickyHint(ops)
-	}
 	if cfg.Drop != nil {
 		q.shared.SetDrop(cfg.Drop)
 	}
@@ -262,7 +220,7 @@ func (q *Queue[V]) Rho() int { return q.Handles() * int(q.kCurrent.Load()) }
 func (q *Queue[V]) Size() int {
 	q.mu.Lock()
 	hs := append([]*Handle[V](nil), q.handles...)
-	n := q.closedInserted - q.closedDeleted
+	n := q.closed.Inserted - q.closed.Deleted
 	q.mu.Unlock()
 	for _, h := range hs {
 		n += h.inserted.Load() - h.deleted.Load()
@@ -333,7 +291,6 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 		kBound = -1 // unbounded: no overflow target exists
 	}
 	h.dist = distlsm.New[V](id, kBound)
-	h.dist.SetMinCaching(!q.cfg.DisableMinCaching)
 	if q.cfg.Drop != nil {
 		h.dist.SetDrop(q.cfg.Drop)
 	}
@@ -354,12 +311,6 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 	}
 	h.overflow = func(b *block.Block[V]) *block.Block[V] {
 		return h.q.shared.Insert(h.cursor, b)
-	}
-	if !q.cfg.DisableDeletionBuffer && !q.cfg.DisableMinCaching {
-		h.bufCap = q.cfg.DeletionBufferSize
-		if h.bufCap <= 0 {
-			h.bufCap = defaultDelBufSize
-		}
 	}
 
 	q.mu.Lock()
@@ -397,14 +348,12 @@ type Handle[V any] struct {
 	// candidates popped in ascending key order; bufAnchor is the shared
 	// array they were validated against (nil anchors an empty shared
 	// structure). bufCapKey is the fill-time cap every buffered entry is at
-	// or below — the bound owner inserts are spliced against. bufCap == 0
-	// disables the buffer. fillHint temporarily raises the refill size
-	// inside DrainMin. All owner-only.
+	// or below — the bound owner inserts are spliced against. fillHint
+	// temporarily raises the refill size inside DrainMin. All owner-only.
 	buf       []item.Snap[V]
 	bufPos    int
 	bufAnchor *sharedlsm.BlockArray[V]
 	bufCapKey uint64
-	bufCap    int
 	fillHint  int
 
 	// BufFills/BufPops/BufFlushes count deletion-buffer refills, successful
@@ -432,11 +381,9 @@ func (h *Handle[V]) ID() uint64 { return h.id }
 // only the operation counters move. This mirrors the paper's model, which
 // has no thread departure story at all — see DESIGN.md.
 func (h *Handle[V]) Close() {
-	if h.bufCap > 0 {
-		// Buffered candidates were never taken; discarding them leaves the
-		// items live in their blocks.
-		h.bufInvalidate()
-	}
+	// Buffered candidates were never taken; discarding them leaves the
+	// items live in their blocks.
+	h.bufInvalidate()
 	if h.q.cfg.Mode != DistOnly {
 		h.dist.DrainTo(h.overflow)
 	}
@@ -459,9 +406,8 @@ func (h *Handle[V]) Close() {
 		q.zombies = append(q.zombies, h.dist)
 	}
 	q.rebuildVictims()
-	// Preserve the operation totals for Size.
-	q.closedInserted += h.inserted.Load()
-	q.closedDeleted += h.deleted.Load()
+	// Preserve the handle's counters for Size and Stats.
+	h.addStats(&q.closed)
 	// Withdraw the cursor from the reclamation epoch scheme so an idle
 	// closed handle does not pin retired blocks forever.
 	q.shared.RetireCursor(h.cursor)
@@ -617,9 +563,7 @@ func (h *Handle[V]) insertItem(it *item.Item[V]) {
 	switch h.q.cfg.Mode {
 	case DistOnly:
 		h.dist.Insert(it, nil)
-		if h.bufCap > 0 {
-			h.bufInsert(it, ver, key)
-		}
+		h.bufInsert(it, ver, key)
 	case SharedOnly:
 		// The publication moves the shared pointer, so the next buffered
 		// pop's anchor check flushes the buffer — nothing to do here.
@@ -629,12 +573,10 @@ func (h *Handle[V]) insertItem(it *item.Item[V]) {
 		h.q.shared.Insert(h.cursor, nb)
 	default:
 		h.dist.Insert(it, h.overflow)
-		if h.bufCap > 0 {
-			// Splice the new key into the buffer at its ascending position
-			// (see bufInsert); an overflow publication is caught by the
-			// anchor check like any other shared movement.
-			h.bufInsert(it, ver, key)
-		}
+		// Splice the new key into the buffer at its ascending position
+		// (see bufInsert); an overflow publication is caught by the
+		// anchor check like any other shared movement.
+		h.bufInsert(it, ver, key)
 	}
 }
 
@@ -682,17 +624,15 @@ func (h *Handle[V]) InsertBatchSeqs(keys []uint64, values []V, seqs []uint64) {
 		}
 		return
 	}
-	if h.bufCap > 0 {
-		// Truncate at the batch minimum: only buffered candidates above it
-		// can shadow a batch key.
-		minKey := keys[0]
-		for _, k := range keys[1:] {
-			if k < minKey {
-				minKey = k
-			}
+	// Truncate at the batch minimum: only buffered candidates above it
+	// can shadow a batch key.
+	minKey := keys[0]
+	for _, k := range keys[1:] {
+		if k < minKey {
+			minKey = k
 		}
-		h.bufTruncate(minKey)
 	}
+	h.bufTruncate(minKey)
 	its := h.batchScratch[:0]
 	for i, k := range keys {
 		var v V
@@ -739,10 +679,9 @@ func (h *Handle[V]) InsertBatchSeqs(keys []uint64, values []V, seqs []uint64) {
 // emit for each key/payload in pop order, and returns the number removed. It
 // stops early when TryDeleteMin fails — which, after its unsuccessful spy
 // pass, is the strongest emptiness signal the structure offers. Every pop
-// individually satisfies the ρ = T·k bound and local ordering; with min
-// caching on, the candidate window persists across the pops, so a
-// steady-state drain costs one window build plus max O(1) pops rather than
-// max full scans.
+// individually satisfies the ρ = T·k bound and local ordering; the
+// candidate window persists across the pops, so a steady-state drain costs
+// one window build plus max O(1) pops rather than max full scans.
 func (h *Handle[V]) DrainMin(max int, emit func(key uint64, value V)) int {
 	return h.DrainMinSeq(max, func(k uint64, v V, _ uint64) { emit(k, v) })
 }
@@ -751,9 +690,9 @@ func (h *Handle[V]) DrainMin(max int, emit func(key uint64, value V)) int {
 // item passed to emit (see TryDeleteMinSeq); the persistence layer drains
 // through it so every pop can be logged as a (key, seq) delete record.
 func (h *Handle[V]) DrainMinSeq(max int, emit func(key uint64, value V, seq uint64)) int {
-	if h.bufCap > 0 && max > h.bufCap {
+	if max > delBufSize {
 		// Let refills inside this drain batch up to the drain size, so a
-		// large drain costs O(max / fill) refills instead of max / bufCap.
+		// large drain costs O(max / fill) refills instead of max / delBufSize.
 		h.fillHint = max
 		defer func() { h.fillHint = 0 }()
 	}
@@ -826,10 +765,8 @@ func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
 // inserted without one). The persistence layer logs a delete record as
 // (key, seq) so recovery can cancel exactly the consumed insert.
 func (h *Handle[V]) TryDeleteMinSeq() (key uint64, value V, seq uint64, ok bool) {
-	if h.bufCap > 0 {
-		if k, v, s, hit := h.bufTryDelete(); hit {
-			return k, v, s, true
-		}
+	if k, v, s, hit := h.bufTryDelete(); hit {
+		return k, v, s, true
 	}
 	drop := h.q.cfg.Drop
 	mode := h.q.cfg.Mode
@@ -901,20 +838,18 @@ func (h *Handle[V]) TryDeleteMinSeq() (key uint64, value V, seq uint64, ok bool)
 
 // PeekMin returns a key/payload that TryDeleteMin could return, without
 // deleting it. The view is relaxed exactly like TryDeleteMin's, and the two
-// observe the same candidate source: with the deletion buffer enabled,
-// PeekMin reads (and refills) the buffer head TryDeleteMin would pop next,
-// so on a single handle the peeked key is exactly the next deleted key.
+// observe the same candidate source: PeekMin reads (and refills) the
+// deletion-buffer head TryDeleteMin would pop next, so on a single handle
+// the peeked key is exactly the next deleted key.
 // Like TryDeleteMin, PeekMin never surfaces an item the Drop filter reports
 // stale — filter-positive candidates are claimed and discarded in passing.
 func (h *Handle[V]) PeekMin() (key uint64, value V, ok bool) {
-	if h.bufCap > 0 {
+	if e, hit := h.bufPeek(); hit {
+		return e.Key, e.It.Value(), true
+	}
+	if h.bufRefill() {
 		if e, hit := h.bufPeek(); hit {
 			return e.Key, e.It.Value(), true
-		}
-		if h.bufRefill() {
-			if e, hit := h.bufPeek(); hit {
-				return e.Key, e.It.Value(), true
-			}
 		}
 	}
 	drop := h.q.cfg.Drop
@@ -965,10 +900,8 @@ func (h *Handle[V]) spy() bool {
 			continue
 		}
 		if h.dist.Spy(v) {
-			if h.bufCap > 0 {
-				// Spied-in items may undercut the fill-time local guard.
-				h.bufInvalidate()
-			}
+			// Spied-in items may undercut the fill-time local guard.
+			h.bufInvalidate()
 			return true
 		}
 	}
@@ -999,9 +932,7 @@ func (h *Handle[V]) spyDue(bound uint64) bool {
 	}
 	if copied {
 		h.SpyCalls.Add(1)
-		if h.bufCap > 0 {
-			h.bufInvalidate()
-		}
+		h.bufInvalidate()
 	}
 	return copied
 }
@@ -1023,10 +954,8 @@ func (h *Handle[V]) TryDeleteMinBounded(bound uint64) (key uint64, value V, ok b
 // TryDeleteMinBoundedSeq is TryDeleteMinBounded additionally returning the
 // item's durability sequence number, mirroring TryDeleteMinSeq.
 func (h *Handle[V]) TryDeleteMinBoundedSeq(bound uint64) (key uint64, value V, seq uint64, ok bool) {
-	if h.bufCap > 0 {
-		if k, v, s, hit := h.bufTryDeleteBounded(bound); hit {
-			return k, v, s, true
-		}
+	if k, v, s, hit := h.bufTryDeleteBounded(bound); hit {
+		return k, v, s, true
 	}
 	drop := h.q.cfg.Drop
 	mode := h.q.cfg.Mode
@@ -1107,7 +1036,7 @@ func (h *Handle[V]) DrainMinBounded(bound uint64, max int, emit func(key uint64,
 // DrainMinBoundedSeq is DrainMinBounded with each pop's durability sequence
 // number passed to emit, mirroring DrainMinSeq.
 func (h *Handle[V]) DrainMinBoundedSeq(bound uint64, max int, emit func(key uint64, value V, seq uint64)) int {
-	if h.bufCap > 0 && max > h.bufCap {
+	if max > delBufSize {
 		h.fillHint = max
 		defer func() { h.fillHint = 0 }()
 	}
@@ -1135,9 +1064,7 @@ func (h *Handle[V]) DrainMinBoundedSeq(bound uint64, max int, emit func(key uint
 // Owner only, like every handle operation; other handles' DistLSMs are
 // untouched (their garbage is bounded by the per-handle size bound ~2(k+1)).
 func (h *Handle[V]) Compact() {
-	if h.bufCap > 0 {
-		h.bufInvalidate()
-	}
+	h.bufInvalidate()
 	if h.q.cfg.Mode != SharedOnly {
 		h.dist.Purge()
 	}

@@ -112,32 +112,39 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 }
 
 // Stats returns an aggregated snapshot of the queue's structural counters.
+// Every counter is a lifetime total: closed handles' counters are folded
+// into the queue at Close, so no counter decreases across handle churn.
 func (q *Queue[V]) Stats() QueueStats {
 	q.mu.Lock()
 	hs := append([]*Handle[V](nil), q.handles...)
+	s := q.closed
 	q.mu.Unlock()
-	var s QueueStats
 	s.Handles = len(hs)
 	for _, h := range hs {
-		s.Inserted += h.inserted.Load()
-		s.Deleted += h.deleted.Load()
-		ds := h.dist.Stats()
-		s.Merges += ds.Merges
-		s.Overflows += ds.Overflows
-		s.Spies += ds.Spies
-		s.SpiedBlocks += ds.SpiedBlocks
-		s.Consolidates += ds.Consolidates
-		s.SpyCalls += h.SpyCalls.Load()
-		s.SharedConsolidatePushes += h.cursor.ConsolidatePushes.Load()
-		s.SharedInsertRetries += h.cursor.InsertRetries.Load()
-		s.WindowBuilds += h.cursor.WindowBuilds.Load()
-		s.WindowRepairs += h.cursor.WindowRepairs.Load()
-		s.WindowItems += h.cursor.WindowItems.Load()
-		s.BufferFills += h.BufFills.Load()
-		s.BufferPops += h.BufPops.Load()
-		s.BufferFlushes += h.BufFlushes.Load()
-		s.HintSkips += h.cursor.HintSkips.Load()
-		s.HintSticks += h.cursor.HintSticks.Load()
+		h.addStats(&s)
 	}
 	return s
+}
+
+// addStats adds h's counters to s (every field but Handles).
+func (h *Handle[V]) addStats(s *QueueStats) {
+	s.Inserted += h.inserted.Load()
+	s.Deleted += h.deleted.Load()
+	ds := h.dist.Stats()
+	s.Merges += ds.Merges
+	s.Overflows += ds.Overflows
+	s.Spies += ds.Spies
+	s.SpiedBlocks += ds.SpiedBlocks
+	s.Consolidates += ds.Consolidates
+	s.SpyCalls += h.SpyCalls.Load()
+	s.SharedConsolidatePushes += h.cursor.ConsolidatePushes.Load()
+	s.SharedInsertRetries += h.cursor.InsertRetries.Load()
+	s.WindowBuilds += h.cursor.WindowBuilds.Load()
+	s.WindowRepairs += h.cursor.WindowRepairs.Load()
+	s.WindowItems += h.cursor.WindowItems.Load()
+	s.BufferFills += h.BufFills.Load()
+	s.BufferPops += h.BufPops.Load()
+	s.BufferFlushes += h.BufFlushes.Load()
+	s.HintSkips += h.cursor.HintSkips.Load()
+	s.HintSticks += h.cursor.HintSticks.Load()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -35,8 +36,46 @@ func TestStatsQuiescent(t *testing.T) {
 	}
 }
 
+// TestStatsSurviveClose: Stats counters are lifetime totals, so closing a
+// handle must not take its counters with it (a scraper computing rates
+// from two snapshots would otherwise see them go backwards).
+func TestStatsSurviveClose(t *testing.T) {
+	q := combined(4)
+	h := q.NewHandle()
+	for i := uint64(0); i < 1000; i++ {
+		h.Insert(i, 0)
+	}
+	for i := 0; i < 400; i++ {
+		if _, _, ok := h.TryDeleteMin(); !ok {
+			t.Fatalf("empty after %d deletes", i)
+		}
+	}
+	before := q.Stats()
+	h.Close()
+	after := q.Stats()
+	if after.Handles != 0 {
+		t.Fatalf("Handles = %d after close", after.Handles)
+	}
+	// Close may add events (its drain overflows local blocks), never lose
+	// them.
+	b, a := reflect.ValueOf(before), reflect.ValueOf(after)
+	for i := 0; i < b.NumField(); i++ {
+		if f := b.Type().Field(i); f.Type.Kind() == reflect.Int64 && a.Field(i).Int() < b.Field(i).Int() {
+			t.Errorf("%s decreased across Close: %d -> %d", f.Name, b.Field(i).Int(), a.Field(i).Int())
+		}
+	}
+	if after.Inserted != 1000 || after.Deleted != 400 || after.BufferPops == 0 {
+		t.Fatalf("Inserted/Deleted/BufferPops = %d/%d/%d, want 1000/400/>0",
+			after.Inserted, after.Deleted, after.BufferPops)
+	}
+	if got := q.Size(); got != 600 {
+		t.Fatalf("Size = %d after close, want 600", got)
+	}
+}
+
 // TestStatsConcurrentReads verifies Stats is safe to call while the queue
-// is under load (run with -race).
+// is under load and handles close, folding their counters into the queue
+// (run with -race).
 func TestStatsConcurrentReads(t *testing.T) {
 	q := combined(64)
 	var workers sync.WaitGroup
@@ -45,6 +84,7 @@ func TestStatsConcurrentReads(t *testing.T) {
 		go func(id int) {
 			defer workers.Done()
 			h := q.NewHandle()
+			defer h.Close()
 			for i := 0; i < 20000; i++ {
 				if i%2 == 0 {
 					h.Insert(uint64(id*20000+i), 0)

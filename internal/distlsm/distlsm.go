@@ -115,7 +115,6 @@ type Dist[V any] struct {
 	// item *is* still its block's minimum. A taken entry triggers a rescan
 	// of that block only. cacheLen == current size marks the cache valid;
 	// -1 invalidates it (the next FindMin repopulates with its full scan).
-	minCache bool
 	cacheLen int
 	mins     [block.MaxLevel + 1]*item.Item[V]
 }
@@ -172,16 +171,9 @@ func (d *Dist[V]) SetDrop(drop block.DropFunc[V]) { d.drop = drop }
 // the queue so Spy and Retire agree on reader quiescence.
 func (d *Dist[V]) SetPool(p *block.Pool[V]) { d.pool = p }
 
-// SetMinCaching toggles the owner-local per-block min cache (owner only;
-// set before first use). Off, every FindMin re-walks the block array.
-func (d *Dist[V]) SetMinCaching(enabled bool) {
-	d.minCache = enabled
-	d.cacheLen = -1
-}
-
 // cacheValid reports whether the min cache mirrors blocks[0:sz].
 func (d *Dist[V]) cacheValid(sz int) bool {
-	return d.minCache && d.cacheLen == sz
+	return d.cacheLen == sz
 }
 
 // Stats returns a snapshot of the structural event counters. Safe to call
@@ -424,11 +416,11 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 // nil if the Dist holds no live item. It opportunistically trims logically
 // deleted tails and triggers consolidation when blocks have died.
 //
-// With min caching on, a valid cache reduces the steady-state call to one
-// key compare per block, rescanning only blocks whose cached minimum has
-// been taken since the last scan (typically the one block a failed TryTake
-// hit); without it — or after a structural mutation invalidated the cache —
-// the call performs the full trimming scan and repopulates the cache.
+// A valid min cache reduces the steady-state call to one key compare per
+// block, rescanning only blocks whose cached minimum has been taken since
+// the last scan (typically the one block a failed TryTake hit); after a
+// structural mutation invalidated the cache, the call performs the full
+// trimming scan and repopulates the cache.
 func (d *Dist[V]) FindMin() *item.Item[V] {
 	sz := int(d.size.Load())
 	cached := d.cacheValid(sz)
@@ -438,9 +430,7 @@ func (d *Dist[V]) FindMin() *item.Item[V] {
 		it := d.mins[i]
 		if !cached || it == nil || it.Taken() {
 			it = d.scanBlockMin(i)
-			if d.minCache {
-				d.mins[i] = it
-			}
+			d.mins[i] = it
 		}
 		if it == nil {
 			deadBlocks++
@@ -450,9 +440,7 @@ func (d *Dist[V]) FindMin() *item.Item[V] {
 			best = it
 		}
 	}
-	if d.minCache {
-		d.cacheLen = sz
-	}
+	d.cacheLen = sz
 	if deadBlocks > 0 {
 		d.Consolidate()
 	}
@@ -481,9 +469,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 	for i := 0; i < sz; i++ {
 		b := d.blocks[i].Load()
 		if b == nil || b.ShrinkInPlace() == 0 {
-			if d.minCache {
-				d.mins[i] = nil
-			}
+			d.mins[i] = nil
 			continue
 		}
 		f := b.Filled()
@@ -504,7 +490,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 			if ver&1 != 0 {
 				continue
 			}
-			if !foundMin && d.minCache {
+			if !foundMin {
 				d.mins[i] = it
 				foundMin = true
 			}
@@ -515,7 +501,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 			dst = append(dst, item.Snap[V]{It: it, Ver: ver, Key: k})
 			got++
 		}
-		if !foundMin && d.minCache {
+		if !foundMin {
 			d.mins[i] = nil
 		}
 		if j >= 0 {
@@ -524,9 +510,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 			}
 		}
 	}
-	if d.minCache {
-		d.cacheLen = sz
-	}
+	d.cacheLen = sz
 	return dst, guard
 }
 
@@ -629,15 +613,13 @@ func (d *Dist[V]) Consolidate() {
 		d.blocks[i].Store(r)
 	}
 	d.size.Store(int64(len(runs)))
-	if d.minCache {
-		// Rebuild the min cache from the surviving runs: each is non-empty
-		// and its tail was live when built (staleness is caught by the
-		// taken-flag check on the next FindMin).
-		for i, r := range runs {
-			d.mins[i] = r.Min()
-		}
-		d.cacheLen = len(runs)
+	// Rebuild the min cache from the surviving runs: each is non-empty and
+	// its tail was live when built (staleness is caught by the taken-flag
+	// check on the next FindMin).
+	for i, r := range runs {
+		d.mins[i] = r.Min()
 	}
+	d.cacheLen = len(runs)
 	// Published runs hand their dropped-item references to the item limbo
 	// now that the stores above unlinked every donor block.
 	for _, r := range runs {
@@ -845,9 +827,7 @@ func (d *Dist[V]) DrainTo(overflow func(*block.Block[V]) *block.Block[V]) {
 		d.stats.overflows.Add(1)
 	}
 	d.size.Store(0)
-	if d.minCache {
-		d.cacheLen = 0
-	}
+	d.cacheLen = 0
 	// Retire the drained originals once the size store above unlinks them.
 	// The pool dies with the closing handle, so for pure block reuse this
 	// would be pointless — but with item reclamation on, Retire releases the

@@ -72,19 +72,10 @@ func Figure4Specs(k int) []QueueSpec {
 // "all" and the figure benchmarks stay faithful to the paper).
 func ExtraSpecs() []QueueSpec {
 	specs := []QueueSpec{
-		{Name: "kLSM(256)-nomincache", New: func(int) pqs.Queue { return klsmq.NewNoMinCache(256) }},
 		{Name: "kLSM(256)-nopool", New: func(int) pqs.Queue { return klsmq.NewNoPooling(256) }},
 		{Name: "kLSM(256)-noreclaim", New: func(int) pqs.Queue { return klsmq.NewNoReclaim(256) }},
 	}
-	// Deletion-buffer and sticky-hint ablations (E15/E16) plus the large-k
-	// frontier points of the window sweep, at every k the sweep visits.
-	for _, k := range []int{256, 4096, 8192, 65536} {
-		k := k
-		specs = append(specs,
-			QueueSpec{Name: fmt.Sprintf("kLSM(%d)-nobuf", k), New: func(int) pqs.Queue { return klsmq.NewNoDelBuf(k) }},
-			QueueSpec{Name: fmt.Sprintf("kLSM(%d)-nosticky", k), New: func(int) pqs.Queue { return klsmq.NewNoSticky(k) }},
-		)
-	}
+	// The large-k frontier points of the window sweep.
 	for _, k := range []int{8192, 65536} {
 		k := k
 		specs = append(specs, QueueSpec{

@@ -60,42 +60,6 @@ func NewNoReclaim(k int) *Queue {
 	})}
 }
 
-// NewNoMinCache returns a combined k-LSM with the delete-min fast path
-// (per-block min cache, candidate window, skip-shared hint) disabled
-// (min-cache ablation).
-func NewNoMinCache(k int) *Queue {
-	return &Queue{q: core.NewQueue(core.Config[struct{}]{
-		K:                 k,
-		Mode:              core.Combined,
-		LocalOrdering:     true,
-		DisableMinCaching: true,
-	})}
-}
-
-// NewNoDelBuf returns a combined k-LSM with the per-handle deletion buffer
-// disabled (deletion-buffer ablation E16): every delete-min walks the
-// candidate window / min-cache path directly.
-func NewNoDelBuf(k int) *Queue {
-	return &Queue{q: core.NewQueue(core.Config[struct{}]{
-		K:                     k,
-		Mode:                  core.Combined,
-		LocalOrdering:         true,
-		DisableDeletionBuffer: true,
-	})}
-}
-
-// NewNoSticky returns a combined k-LSM with the sticky skip-shared hint
-// disabled (stickiness ablation): the hint dies with its array, as before
-// the sticky generalization.
-func NewNoSticky(k int) *Queue {
-	return &Queue{q: core.NewQueue(core.Config[struct{}]{
-		K:                 k,
-		Mode:              core.Combined,
-		LocalOrdering:     true,
-		DisableStickyHint: true,
-	})}
-}
-
 // NewWithDrop returns a combined k-LSM with the lazy-deletion callback
 // (paper §4.5), used by the SSSP benchmark.
 func NewWithDrop(k int, drop func(key uint64) bool) *Queue {

@@ -621,7 +621,7 @@ func (w *candWindow[V]) consume() {
 
 // localOverlay applies local ordering on top of the drawn candidate: the
 // current minima of all Bloom-matching blocks compete with cand and the
-// smaller key wins, as in findMin's per-call scan. Each block's logically
+// smaller key wins. Each block's logically
 // deleted tail is trimmed in place first (the paper's benign only-shrinking
 // race on filled) — otherwise the item the caller took one call ago would be
 // handed back as a dead candidate and trigger a full consolidation per
@@ -739,116 +739,6 @@ func (w *candWindow[V]) overlayBound() uint64 {
 		}
 	}
 	return ov
-}
-
-// findMin draws one item uniformly from the candidate set (Listing 2's
-// find_min). It returns nil when no candidates remain (all ranges consumed),
-// signalling the caller to consolidate. The returned item may be logically
-// deleted — per the paper, the caller reacts to that by consolidating.
-//
-// With localID >= 0, local ordering is enforced: the minima of all blocks
-// whose Bloom filter may contain localID compete with the random choice and
-// the smaller key wins.
-func (a *BlockArray[V]) findMin(rng *xrand.Source, localID int64) *item.Item[V] {
-	n := len(a.blocks)
-	if n == 0 {
-		return nil
-	}
-	// Snapshot filled once per block: it may shrink concurrently and the
-	// two-pass selection below must agree with the totals.
-	var rangesBuf [block.MaxLevel + 2]int
-	var filledBuf [block.MaxLevel + 2]int
-	ranges := rangesBuf[:n]
-	filled := filledBuf[:n]
-	total := 0
-	for i, b := range a.blocks {
-		f := b.Filled()
-		p := a.pivots[i]
-		if p > f {
-			p = f
-		}
-		filled[i] = f
-		ranges[i] = f - p
-		total += f - p
-	}
-
-	// Draw uniformly from the candidate set. Every live item in the set has
-	// a key <= pivot, so *any* of them preserves the k+1 bound; when a draw
-	// lands on a logically deleted item we re-draw a few times and try a
-	// bounded backward scan near the tail (trimming the dead tail in place
-	// via the paper's benign only-shrinking race on filled) before giving
-	// up. Only when the set appears mostly dead do we hand back a dead item
-	// to trigger the caller's consolidation — without the bounds on the
-	// salvage work, large-k configurations degrade to O(dead) per delete.
-	const (
-		redraws  = 4
-		tailScan = 64
-	)
-	var candidate *item.Item[V]
-	if total > 0 {
-	attempts:
-		for attempt := 0; attempt < redraws; attempt++ {
-			r := rng.Intn(total)
-			for i, b := range a.blocks {
-				if ranges[i] <= 0 {
-					continue
-				}
-				if r >= ranges[i] {
-					r -= ranges[i]
-					continue
-				}
-				// Candidate set of block i is the suffix [filled-ranges, filled).
-				if r != ranges[i]-1 {
-					it := b.Item(filled[i] - ranges[i] + r)
-					if !it.Taken() {
-						candidate = it
-						break attempts
-					}
-					candidate = it // dead; remember as consolidate signal
-					continue attempts
-				}
-				// Tail draw: trim the dead tail, then scan a bounded window
-				// backwards for a live minimum.
-				b.ShrinkInPlace()
-				lo := filled[i] - ranges[i]
-				if bounded := filled[i] - tailScan; bounded > lo {
-					lo = bounded
-				}
-				for j := filled[i] - 1; j >= lo; j-- {
-					it := b.Item(j)
-					if !it.Taken() {
-						candidate = it
-						break attempts
-					}
-				}
-				candidate = b.Item(filled[i] - 1) // dead; consolidate signal
-				continue attempts
-			}
-			break // r exhausted all ranges (concurrent shrink); bail out
-		}
-	}
-
-	if localID >= 0 && candidate != nil {
-		// Local ordering competes *downward* only: the overlay minimum may
-		// replace a drawn candidate (its key then stays within the pivot
-		// bound), but with no candidate at all it would bound nothing — the
-		// caller must consolidate instead, which recalculates pivots and
-		// produces a bounded candidate set.
-		id := uint64(localID)
-		for i, b := range a.blocks {
-			if !b.Bloom().MayContain(id) {
-				continue
-			}
-			if filled[i] == 0 {
-				continue
-			}
-			it := b.Item(filled[i] - 1)
-			if it.Key() < candidate.Key() {
-				candidate = it
-			}
-		}
-	}
-	return candidate
 }
 
 // LiveCount scans all blocks for live items (tests and diagnostics only).

@@ -19,6 +19,12 @@ const (
 	sharedLimboCapReclaim = 2048
 )
 
+// stickyHintOps is the default sticky skip-shared budget: how many
+// consecutive skip-shared decisions a cursor may re-validate across shared
+// publications (the MultiQueue-style sticky hint, see SkipShared) before it
+// must query the shared side again.
+const stickyHintOps = 64
+
 // retiredBlock is a block dropped from a published BlockArray, tagged with
 // the epoch of the CAS that dropped it.
 type retiredBlock[V any] struct {
@@ -54,18 +60,9 @@ type Shared[V any] struct {
 	// never skips its own items. On by default; the ablation benchmark
 	// switches it off.
 	localOrdering bool
-	// minCaching enables the per-cursor candidate-window cache (and the
-	// MinHint fast path built on it): FindMin pops successive candidates
-	// from a window maintained incrementally across snapshot states instead
-	// of re-running the pivot-range draw and Bloom scan on every call.
-	// Semantics are identical either way — every candidate the window
-	// supplies is within the same k+1-smallest bound. Set before the queue
-	// is shared.
-	minCaching bool
-	// stickyOps bounds how many consecutive skip-shared decisions a cursor
-	// may re-validate across shared publications (the MultiQueue-style
-	// sticky hint); 0 disables the sticky extension and the hint dies with
-	// its array, as in MinHint. Set before the queue is shared.
+	// stickyOps is the sticky skip-shared budget (stickyHintOps unless
+	// SetStickyHint changed it); 0 disables the sticky extension and the
+	// hint dies with its array, as in MinHint.
 	stickyOps int
 
 	// epoch counts winning publications that dropped blocks.
@@ -97,7 +94,7 @@ func New[V any](k int, localOrdering bool) *Shared[V] {
 	if k < 0 {
 		panic("sharedlsm: negative k")
 	}
-	s := &Shared[V]{localOrdering: localOrdering}
+	s := &Shared[V]{localOrdering: localOrdering, stickyOps: stickyHintOps}
 	s.k.Store(int64(k))
 	return s
 }
@@ -106,13 +103,7 @@ func New[V any](k int, localOrdering bool) *Shared[V] {
 // called before the queue is shared.
 func (s *Shared[V]) SetDrop(drop block.DropFunc[V]) { s.drop = drop }
 
-// SetMinCaching toggles the candidate-window cache on cursors of this
-// structure. Must be called before the queue is shared.
-func (s *Shared[V]) SetMinCaching(enabled bool) { s.minCaching = enabled }
-
-// SetStickyHint sets the sticky skip-shared budget: the number of
-// consecutive operations a cursor's hint may survive shared publications by
-// re-validating against the new array's minimum-key floor (see SkipShared).
+// SetStickyHint sets the sticky skip-shared budget (default stickyHintOps);
 // 0 disables stickiness. Must be called before the queue is shared.
 func (s *Shared[V]) SetStickyHint(ops int) { s.stickyOps = ops }
 
@@ -165,9 +156,8 @@ type Cursor[V any] struct {
 	// the next refresh reuses.
 	spare *BlockArray[V]
 
-	// win is the cached candidate window (used when the Shared has
-	// minCaching on); gen counts snapshot replacements and in-place
-	// snapshot mutations, invalidating the window. Owner-only.
+	// win is the cached candidate window; gen counts snapshot replacements
+	// and in-place snapshot mutations, invalidating the window. Owner-only.
 	win candWindow[V]
 	gen uint64
 	// hintArr/hintKey record the shared array and candidate key of the last
@@ -565,8 +555,7 @@ func (s *Shared[V]) localID(c *Cursor[V]) int64 {
 //
 // This is Listing 3's find_min loop: stale candidates trigger consolidation
 // of the private snapshot, and structural changes are pushed so other
-// threads benefit from the cleanup. With min caching on, the per-call
-// pivot-range draw and Bloom scan are replaced by draws from the cursor's
+// threads benefit from the cleanup. Candidates are drawn from the cursor's
 // candidate window, which is repaired incrementally when the snapshot state
 // changes and rebuilt in full only when entries may have been stranded (see
 // candWindow).
@@ -580,50 +569,40 @@ func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 		}
 		localID := s.localID(c)
 		dry := false
-		if s.minCaching {
-			s.syncWindow(c, localID)
-			// Only a window-backed candidate may be returned: the local-
-			// ordering overlay competes *downward* against it, so the
-			// result's key is <= the window entry's key <= pivot and the
-			// k+1 bound holds. When the window runs dry, an overlay-only
-			// block minimum would bound nothing — arbitrarily many smaller
-			// live keys can sit in other blocks — so fall through to the
-			// consolidation below (dry forces the pivot recalculation),
-			// which extends the window. (Returning the overlay-only minimum
-			// here was a genuine relaxation violation, caught by the k-bound
-			// quality suite at k=0.)
-			if e, ok := c.win.next(c.rng); ok {
-				e = c.win.localOverlay(e)
-				if e.Ver&1 == 0 {
-					// Record the skip-shared hint: e.Key <= the drawn entry's
-					// key <= pivot (so at most k live shared keys are
-					// smaller) and <= every Bloom-matching block minimum (so
-					// skipping cannot violate local ordering). A real query
-					// ran, so the sticky streak restarts.
-					c.hintArr, c.hintKey = c.observed, e.Key
-					c.hintStreak = 0
-					return e, true
-				}
-				// Overlay handed back a taken block minimum: the block's
-				// live minimum may undercut every candidate — consolidate.
-			} else if c.win.dirty {
-				// The window ran dry but entries were consumed unclaimed or
-				// stranded since the last full build; they are still live in
-				// the blocks, so rebuild before concluding exhaustion.
-				mat, _ := c.win.sync(c.snapshot, c.gen, localID, true)
-				c.WindowBuilds.Add(1)
-				c.WindowItems.Add(int64(mat))
-				continue
-			} else {
-				dry = true
+		s.syncWindow(c, localID)
+		// Only a window-backed candidate may be returned: the local-ordering
+		// overlay competes *downward* against it, so the result's key is <= the
+		// window entry's key <= pivot and the k+1 bound holds. When the window
+		// runs dry, an overlay-only block minimum would bound nothing —
+		// arbitrarily many smaller live keys can sit in other blocks — so fall
+		// through to the consolidation below (dry forces the pivot
+		// recalculation), which extends the window. (Returning the overlay-only
+		// minimum here was a genuine relaxation violation, caught by the
+		// k-bound quality suite at k=0.)
+		if e, ok := c.win.next(c.rng); ok {
+			e = c.win.localOverlay(e)
+			if e.Ver&1 == 0 {
+				// Record the skip-shared hint: e.Key <= the drawn entry's key
+				// <= pivot (so at most k live shared keys are smaller) and <=
+				// every Bloom-matching block minimum (so skipping cannot
+				// violate local ordering). A real query ran, so the sticky
+				// streak restarts.
+				c.hintArr, c.hintKey = c.observed, e.Key
+				c.hintStreak = 0
+				return e, true
 			}
+			// Overlay handed back a taken block minimum: the block's live
+			// minimum may undercut every candidate — consolidate.
+		} else if c.win.dirty {
+			// The window ran dry but entries were consumed unclaimed or
+			// stranded since the last full build; they are still live in
+			// the blocks, so rebuild before concluding exhaustion.
+			mat, _ := c.win.sync(c.snapshot, c.gen, localID, true)
+			c.WindowBuilds.Add(1)
+			c.WindowItems.Add(int64(mat))
+			continue
 		} else {
-			it := c.snapshot.findMin(c.rng, localID)
-			if it == nil {
-				dry = true
-			} else if v := it.Version(); v&1 == 0 {
-				return item.Snap[V]{It: it, Ver: v, Key: it.Key()}, true
-			}
+			dry = true
 		}
 		// Candidate stale (or no candidates): clean up. When the candidate
 		// set is exhausted (dry), pivots must be recalculated to extend it;
@@ -728,15 +707,12 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 // the buffer must be discarded when it stops holding. anchor is nil (with
 // capKey ^0) when the shared structure is empty, which the caller validates
 // the same way: the shared pointer still being nil means zero shared keys
-// exist. ok is false only when min caching is off (no window to fill from).
+// exist.
 //
 // The entries are *not* taken: a flushed buffer simply discards them, and
 // the items remain live in the blocks (the window marks itself dirty so a
 // later dry-window rebuild re-materializes them).
-func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_ []item.Snap[V], anchor *BlockArray[V], capKey uint64, ok bool) {
-	if !s.minCaching {
-		return dst, nil, 0, false
-	}
+func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_ []item.Snap[V], anchor *BlockArray[V], capKey uint64) {
 	base := len(dst)
 	repivoted := false
 	for {
@@ -744,7 +720,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 			s.refresh(c)
 		}
 		if c.snapshot == nil {
-			return dst, nil, ^uint64(0), true
+			return dst, nil, ^uint64(0)
 		}
 		localID := s.localID(c)
 		s.syncWindow(c, localID)
@@ -822,7 +798,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 				c.hintArr, c.hintKey = c.observed, hint
 				c.hintStreak = 0
 			}
-			return dst, c.observed, capKey, true
+			return dst, c.observed, capKey
 		}
 		// Window dry: run the same maintenance FindMinSnap would, then
 		// retry. Stranded entries rebuild first; then consolidation extends
@@ -855,8 +831,8 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 func (s *Shared[V]) PtrIs(a *BlockArray[V]) bool { return s.ptr.Load() == a }
 
 // MinHint returns the key of c's last successful FindMin candidate, valid
-// only while the shared pointer still equals the array that produced it
-// (and min caching is on). While valid, the hint guarantees two things about
+// only while the shared pointer still equals the array that produced it.
+// While valid, the hint guarantees two things about
 // the current shared structure: at most k live keys in it are smaller than
 // the hint (the candidate was within the array's pivot range, and a
 // published array only loses items), and no block that may contain c's own
@@ -865,7 +841,7 @@ func (s *Shared[V]) PtrIs(a *BlockArray[V]) bool { return s.ptr.Load() == a }
 // minimum without consulting the shared side at all — both the ρ = T·k
 // bound and local ordering are preserved.
 func (s *Shared[V]) MinHint(c *Cursor[V]) (uint64, bool) {
-	if !s.minCaching || c.hintArr == nil || s.ptr.Load() != c.hintArr {
+	if c.hintArr == nil || s.ptr.Load() != c.hintArr {
 		return 0, false
 	}
 	return c.hintKey, true
@@ -883,12 +859,12 @@ func (s *Shared[V]) MinHint(c *Cursor[V]) (uint64, bool) {
 // (0 <= k smaller keys) and local ordering (every own-block minimum >=
 // minKey >= localKey) both hold trivially, and the hint re-arms on the new
 // array with hintKey = minKey. Such cross-publication re-validations are
-// MultiQueue-style stickiness and are bounded by the configured budget
-// (SetStickyHint), counted per consecutive streak; the streak — and, on a
+// MultiQueue-style stickiness and are bounded by the sticky budget, counted per
+// consecutive streak; the streak — and, on a
 // failed re-validation, the decision — resets so a handle cannot indefinitely
 // avoid the shared-side maintenance its deletes are meant to share.
 func (s *Shared[V]) SkipShared(c *Cursor[V], localKey uint64) bool {
-	if !s.minCaching || c.hintArr == nil {
+	if c.hintArr == nil {
 		return false
 	}
 	cur := s.ptr.Load()

@@ -77,10 +77,7 @@ func resolveOptions(opts []Option) options {
 		mode:          core.Combined,
 		localOrdering: true,
 		pooling:       true,
-		minCaching:    true,
 		reclaim:       true,
-		delBuf:        32,
-		stickyOps:     64,
 		syncInterval:  2 * time.Millisecond,
 	}
 	for _, o := range opts {
@@ -99,12 +96,7 @@ func coreConfig[V any](cfg options) core.Config[V] {
 		Mode:                   cfg.mode,
 		LocalOrdering:          cfg.localOrdering,
 		DisablePooling:         !cfg.pooling,
-		DisableMinCaching:      !cfg.minCaching,
 		DisableItemReclamation: !cfg.reclaim,
-		DisableDeletionBuffer:  cfg.delBuf <= 0,
-		DeletionBufferSize:     cfg.delBuf,
-		DisableStickyHint:      cfg.stickyOps <= 0,
-		StickyHintOps:          cfg.stickyOps,
 	}
 }
 
@@ -118,9 +110,8 @@ func newCoreQueue[V any](cfg options, drop func(key uint64, value V) bool) *core
 
 // New returns an empty queue configured by opts. The default configuration
 // is the paper's recommended general-purpose setting: the combined k-LSM
-// with k = 256, local ordering enabled, §4.4 memory pooling with
-// deterministic item reclamation on, and the delete-min min-caching fast
-// path on. For a durable queue use Open — New panics if WithPersistence is
+// with k = 256, local ordering enabled, and §4.4 memory pooling with
+// deterministic item reclamation on. For a durable queue use Open — New panics if WithPersistence is
 // among opts, because persistence needs a ValueCodec that cannot travel
 // through the non-generic Option type.
 func New[V any](opts ...Option) *Queue[V] {
@@ -332,9 +323,8 @@ func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
 
 // PeekMin returns a key TryDeleteMin could return, without removing it. The
 // result is relaxed exactly like TryDeleteMin's and may be stale by the
-// time the caller acts on it. With the deletion buffer enabled (the
-// default), PeekMin observes the same buffered candidate the next
-// TryDeleteMin on this handle would pop.
+// time the caller acts on it. PeekMin observes the same buffered
+// candidate the next TryDeleteMin on this handle would pop.
 func (h *Handle[V]) PeekMin() (key uint64, value V, ok bool) {
 	h.persist()
 	return h.h.PeekMin()

@@ -3,47 +3,50 @@ package klsm
 import (
 	"testing"
 
+	"klsm/internal/binheap"
 	"klsm/internal/xrand"
 )
 
-// TestMinCachingToggleSemantics: WithMinCaching(false) must change only the
-// cost profile, never observable behavior — same keys, same payloads, same
-// success/failure pattern, op for op, through a single handle (where both
-// configurations are exact thanks to local ordering).
+// TestMinCachingToggleSemantics: the delete-min fast path (per-block min
+// caches, candidate window, deletion buffer, sticky hint) must change only
+// the cost profile, never observable behavior. Through a single handle,
+// local ordering makes the queue exact, so every TryDeleteMin must return
+// the smallest key of an exact model, op for op, with its payload and the
+// same success/failure pattern.
 func TestMinCachingToggleSemantics(t *testing.T) {
-	on := New[int]()
-	off := New[int](WithMinCaching(false))
-	hOn, hOff := on.NewHandle(), off.NewHandle()
+	q := New[int]()
+	h := q.NewHandle()
+	model := binheap.New(2)
 	rng := xrand.NewSeeded(23)
 	for op := 0; op < 20_000; op++ {
 		if rng.Bool() {
 			k := rng.Uint64n(1 << 30)
-			hOn.Insert(k, int(k))
-			hOff.Insert(k, int(k))
-		} else {
-			k1, v1, ok1 := hOn.TryDeleteMin()
-			k2, v2, ok2 := hOff.TryDeleteMin()
-			if ok1 != ok2 || k1 != k2 || v1 != v2 {
-				t.Fatalf("op %d: cached (%d,%d,%v) != uncached (%d,%d,%v)",
-					op, k1, v1, ok1, k2, v2, ok2)
-			}
+			h.Insert(k, int(k))
+			model.Push(k)
+			continue
+		}
+		want, wantOK := model.Pop()
+		k, v, ok := h.TryDeleteMin()
+		if ok != wantOK || k != want || (ok && v != int(k)) {
+			t.Fatalf("op %d: TryDeleteMin (%d,%d,%v), exact model (%d,%v)",
+				op, k, v, ok, want, wantOK)
 		}
 	}
-	if on.Size() != off.Size() {
-		t.Fatalf("Size %d != %d", on.Size(), off.Size())
+	if q.Size() != model.Len() {
+		t.Fatalf("Size %d != model %d", q.Size(), model.Len())
 	}
-	// Drain both to empty: the tail ends of the sequences must agree too.
+	// Drain to empty: the tail of the sequence must agree too.
 	for {
-		k1, _, ok1 := hOn.TryDeleteMin()
-		k2, _, ok2 := hOff.TryDeleteMin()
-		if ok1 != ok2 {
-			t.Fatalf("drain: cached ok=%v, uncached ok=%v", ok1, ok2)
+		want, wantOK := model.Pop()
+		k, _, ok := h.TryDeleteMin()
+		if ok != wantOK {
+			t.Fatalf("drain: ok=%v, model ok=%v", ok, wantOK)
 		}
-		if !ok1 {
+		if !ok {
 			return
 		}
-		if k1 != k2 {
-			t.Fatalf("drain: cached key %d != uncached key %d", k1, k2)
+		if k != want {
+			t.Fatalf("drain: key %d != model key %d", k, want)
 		}
 	}
 }

@@ -277,10 +277,14 @@ func TestAutoCheckpointCrashStress(t *testing.T) {
 
 		// Op phase: concurrent workers while checkpoints fire on size/age
 		// triggers. Half the cycles arm the fuse so the kill lands on an
-		// exact fs-op boundary; the rest kill on a timer.
-		if rng.Intn(2) == 0 {
+		// exact fs-op boundary; the rest kill on a timer, and every fourth
+		// cycle that kills on a timer first waits for a scheduled
+		// checkpoint to complete.
+		armed := rng.Intn(2) == 0
+		if armed {
 			fs.fuse.Store(int64(5 + rng.Intn(60)))
 		}
+		awaitCkpt := !armed && cycle%4 == 3
 		keyBase := nextKey
 		ledgers := make([]*ledger, workers)
 		var wg sync.WaitGroup
@@ -321,6 +325,17 @@ func TestAutoCheckpointCrashStress(t *testing.T) {
 			}()
 		}
 		time.Sleep(time.Duration(4000+rng.Intn(16000)) * time.Microsecond)
+		if awaitCkpt {
+			// The timed kill alone rarely lands after a completed
+			// checkpoint: compaction of the growing live set usually
+			// outlasts the sleep, and on a loaded machine it always does.
+			// Waiting here covers the after-checkpoint regime by
+			// construction; the mutators keep running throughout.
+			deadline := time.Now().Add(5 * time.Second)
+			for q.PersistStats().AutoCheckpoints == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
 		if fs.halted.Load() {
 			fuseKills++
 		}

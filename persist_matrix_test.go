@@ -29,8 +29,6 @@ func matrixConfigs() []struct {
 		{"default", nil},
 		{"pooling=off", []Option{WithPooling(false)}},
 		{"reclaim=off", []Option{WithItemReclamation(false)}},
-		{"mincache=off", []Option{WithMinCaching(false)}},
-		{"delbuf=off", []Option{WithDeletionBuffer(0)}},
 	}
 }
 

@@ -1,17 +1,17 @@
 package klsm
 
 // Stats is a snapshot of the queue's structural counters, aggregated across
-// all open handles. It exposes the internals the delete-min fast path is
+// every handle the queue has had. It exposes the internals the delete-min fast path is
 // tuned by — candidate-window maintenance cost, deletion-buffer hit rates,
 // skip-shared stickiness — alongside the structural event counts of the
 // paper's ablations. The snapshot is taken without stopping the queue, so
-// counters from handles mid-operation may be one event behind; counters of
-// closed handles are not included.
+// counters from handles mid-operation may be one event behind. Counters of
+// closed handles are folded in when they close, so every counter except
+// Handles is a lifetime total that never decreases.
 type Stats struct {
 	// Handles is the number of registered handles (T in ρ = T·k).
 	Handles int
-	// Inserted and Deleted are the lifetime operation totals of the open
-	// handles.
+	// Inserted and Deleted are the lifetime operation totals.
 	Inserted int64
 	// Deleted counts successful delete-min operations.
 	Deleted int64
