@@ -67,14 +67,7 @@ func (h *Handle[V]) insertBatchLogged(p *persister[V], keys []uint64, values []V
 // On a persistent queue every pop logs its delete record, with the same
 // acknowledgement rule as TryDeleteMin.
 func (h *Handle[V]) DrainMin(dst []KV[uint64, V], n int) []KV[uint64, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinSeq(n, func(k uint64, v V, seq uint64) {
-			p.appendDelete(k, seq)
-			dst = append(dst, KV[uint64, V]{Key: k, Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMin(n, func(k uint64, v V) {
+	h.drain(n, ^uint64(0), func(k uint64, v V) {
 		dst = append(dst, KV[uint64, V]{Key: k, Value: v})
 	})
 	return dst
@@ -88,15 +81,22 @@ func (h *Handle[V]) DrainMin(dst []KV[uint64, V], n int) []KV[uint64, V] {
 // not necessarily "the queue is empty". The per-pop relaxation contract and
 // the persistent-queue logging rule match DrainMin exactly.
 func (h *Handle[V]) DrainMinBounded(dst []KV[uint64, V], n int, bound uint64) []KV[uint64, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinBoundedSeq(bound, n, func(k uint64, v V, seq uint64) {
-			p.appendDelete(k, seq)
-			dst = append(dst, KV[uint64, V]{Key: k, Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMinBounded(bound, n, func(k uint64, v V) {
+	h.drain(n, bound, func(k uint64, v V) {
 		dst = append(dst, KV[uint64, V]{Key: k, Value: v})
 	})
 	return dst
+}
+
+// drain is the one drain path behind DrainMin (bound ^uint64(0)),
+// DrainMinBounded and the ordered drains: it pops up to n items at or below
+// bound and passes each to emit, logging its delete record first on a
+// persistent queue.
+func (h *Handle[V]) drain(n int, bound uint64, emit func(key uint64, value V)) {
+	p := h.persist()
+	h.h.DrainMinBoundedSeq(bound, n, func(k uint64, v V, seq uint64) {
+		if p != nil {
+			p.appendDelete(k, seq)
+		}
+		emit(k, v)
+	})
 }

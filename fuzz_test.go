@@ -2,6 +2,7 @@ package klsm
 
 import (
 	"container/heap"
+	"slices"
 	"testing"
 
 	"klsm/internal/binheap"
@@ -23,13 +24,25 @@ func (h *fuzzHeap) Pop() interface{} {
 
 // FuzzSingleHandleExact drives a single-handle queue with byte-decoded
 // operations and cross-checks every result against an exact heap: with one
-// handle and local ordering, every configuration must behave exactly.
+// handle and local ordering, every configuration must behave exactly. An
+// even byte inserts; an odd byte selects one of the delete-min surfaces
+// (TryDeleteMin, TryDeleteMinBounded, DrainMin, DrainMinBounded, PeekMin),
+// with a bound decoded from the byte's high nibble: keys inserted at least
+// that many operations ago are due, and 15 is the top of the key space.
 // Run with `go test -fuzz FuzzSingleHandleExact` for coverage-guided
 // exploration; the seed corpus runs in ordinary `go test` invocations.
 func FuzzSingleHandleExact(f *testing.F) {
 	f.Add([]byte{0x00, 0x13, 0x07, 0x01, 0xff, 0x20})
 	f.Add([]byte("insert-delete-insert"))
 	f.Add([]byte{0x02, 0x04, 0x06, 0x01, 0x03, 0x05, 0x01, 0x01, 0x01})
+	// Six inserts, then bounded pops that hit, a bounded pop and a bounded
+	// drain below the minimum, a drain cut short by its bound, a peek, a
+	// drain at the top of the key space and every surface on the empty
+	// queue; at k = 0 and k = 256.
+	bounded := []byte{0x00, 0x02, 0x04, 0x06, 0x08, 0x0a, 0x35, 0x3f, 0xd5, 0xd9, 0x75, 0x3b,
+		0x0c, 0x93, 0xf7, 0x03, 0x01, 0x05, 0x09, 0x10, 0x12, 0x05, 0xff}
+	f.Add(bounded)
+	f.Add(append([]byte{0x02}, bounded[1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return
@@ -42,20 +55,67 @@ func FuzzSingleHandleExact(f *testing.F) {
 		q := New[struct{}](WithRelaxation(k))
 		h := q.NewHandle()
 		ref := &fuzzHeap{}
+		var dst []KV[uint64, struct{}]
+		// due pops the model's ascending prefix of at most n keys <= bound.
+		due := func(n int, bound uint64) []uint64 {
+			var want []uint64
+			for len(want) < n && ref.Len() > 0 && (*ref)[0] <= bound {
+				want = append(want, heap.Pop(ref).(uint64))
+			}
+			return want
+		}
 		for i, b := range data {
-			if b&1 == 0 || ref.Len() == 0 {
+			if b&1 == 0 {
 				key := uint64(b>>1) + uint64(i)<<7
 				h.Insert(key, struct{}{})
 				heap.Push(ref, key)
-			} else {
-				got, _, ok := h.TryDeleteMin()
-				want := heap.Pop(ref).(uint64)
-				if !ok {
-					t.Fatalf("op %d: spurious empty with %d live keys", i, ref.Len()+1)
+				if q.Size() != ref.Len() {
+					t.Fatalf("op %d: Size %d, oracle %d", i, q.Size(), ref.Len())
 				}
-				if got != want {
-					t.Fatalf("op %d: got %d, want %d (single handle must be exact)", i, got, want)
+				continue
+			}
+			bound := ^uint64(0)
+			if d := int(b >> 4); d < 15 {
+				bound = uint64(max(i-d, 0)) << 7
+			}
+			n := 1 + int(b>>5)
+			var got, want []uint64
+			switch op := (b >> 1) % 5; op {
+			case 0, 1:
+				key, ok := uint64(0), false
+				if op == 0 {
+					bound = ^uint64(0)
+					key, _, ok = h.TryDeleteMin()
+				} else {
+					key, _, ok = h.TryDeleteMinBounded(bound)
 				}
+				if ok {
+					got = append(got, key)
+				}
+				want = due(1, bound)
+			case 2, 3:
+				if op == 2 {
+					bound = ^uint64(0)
+					dst = h.DrainMin(dst[:0], n)
+				} else {
+					dst = h.DrainMinBounded(dst[:0], n, bound)
+				}
+				for _, kv := range dst {
+					got = append(got, kv.Key)
+				}
+				want = due(n, bound)
+			case 4:
+				bound = ^uint64(0)
+				key, _, ok := h.PeekMin()
+				if ok {
+					got = append(got, key)
+				}
+				if ref.Len() > 0 {
+					want = append(want, (*ref)[0])
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("op %d (byte %#x, bound %d): got %v, want %v (single handle must be exact)", i, b, bound, got, want)
 			}
 			if q.Size() != ref.Len() {
 				t.Fatalf("op %d: Size %d, oracle %d", i, q.Size(), ref.Len())

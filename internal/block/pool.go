@@ -60,8 +60,9 @@ import (
 // the old pointer; any reader that entered before is counted, so the
 // observation fails and the block stays in limbo.
 //
-// A nil *Guard is always quiescent — correct for single-threaded structures
-// (the sequential LSM), where Retire degenerates to an immediate Put.
+// A nil *Guard is always quiescent — correct for single-threaded users (a
+// lone DistLSM in tests and benchmarks), where Retire degenerates to an
+// immediate Put.
 type Guard struct {
 	active atomic.Int64
 }

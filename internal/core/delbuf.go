@@ -137,24 +137,6 @@ func (h *Handle[V]) bufTruncate(key uint64) {
 	h.buf = h.buf[:n]
 }
 
-// bufNext returns the next buffered candidate, re-validating the anchor
-// first: a shared publication since the fill voids the fill-time bounds, so
-// the buffer is flushed and the caller falls back to the slow path. The
-// entry itself is claimed by the caller via TryTakeAt.
-func (h *Handle[V]) bufNext() (item.Snap[V], bool) {
-	if h.bufPos >= len(h.buf) {
-		return item.Snap[V]{}, false
-	}
-	if h.q.cfg.Mode != DistOnly && !h.q.shared.PtrIs(h.bufAnchor) {
-		h.bufInvalidate()
-		return item.Snap[V]{}, false
-	}
-	e := h.buf[h.bufPos]
-	h.buf[h.bufPos] = item.Snap[V]{}
-	h.bufPos++
-	return e, true
-}
-
 // bufRefill rebuilds the buffer from both sides in one pass: shared window
 // candidates via FillCandidates (which also supplies the anchor and the
 // shared-side cap) and DistLSM minima via FillMin (which supplies the local
@@ -245,58 +227,35 @@ func (h *Handle[V]) bufPeek() (item.Snap[V], bool) {
 	return item.Snap[V]{}, false
 }
 
-// bufTryDeleteBounded is bufTryDelete restricted to keys at or below bound.
-// The buffer pops ascending, so a head above the bound proves no buffered
-// candidate qualifies; the head is left in place for a later unbounded pop
-// and the caller falls to the slow path (which re-proves dryness against
-// the live structure and runs the due-bounded spy).
-func (h *Handle[V]) bufTryDeleteBounded(bound uint64) (key uint64, value V, seq uint64, hit bool) {
+// bufTryDelete pops buffered candidates at or below bound until one take
+// succeeds (skipping entries taken elsewhere and, with a Drop callback,
+// discarding dropped items) or the buffer cannot serve. An exhausted buffer
+// is refilled; a moved anchor (a shared publication since the fill voids
+// the fill-time bounds) flushes it and misses, so the caller's slow path
+// re-reads the live structure. The buffer pops ascending, so a head above
+// the bound proves no buffered candidate qualifies: it is left in place for
+// a later pop and the call misses. hit reports whether a key was returned.
+func (h *Handle[V]) bufTryDelete(bound uint64) (key uint64, value V, seq uint64, hit bool) {
 	drop := h.q.cfg.Drop
 	for {
-		if h.bufPos < len(h.buf) {
-			if h.q.cfg.Mode != DistOnly && !h.q.shared.PtrIs(h.bufAnchor) {
-				h.bufInvalidate()
-				var zero V
-				return 0, zero, 0, false
-			}
-			if h.buf[h.bufPos].Key > bound {
-				var zero V
-				return 0, zero, 0, false
-			}
-		}
-		e, ok := h.bufNext()
-		if !ok {
+		if h.bufPos >= len(h.buf) {
 			if !h.bufRefill() {
 				var zero V
 				return 0, zero, 0, false
 			}
-			continue
 		}
-		if e.It.TryTakeAt(e.Ver) {
-			h.deleted.Add(1)
-			h.BufPops.Add(1)
-			if drop == nil || !drop(e.It.Key(), e.It.Value()) {
-				return e.It.Key(), e.It.Value(), e.It.Seq(), true
-			}
+		if h.q.cfg.Mode != DistOnly && !h.q.shared.PtrIs(h.bufAnchor) {
+			h.bufInvalidate()
+			var zero V
+			return 0, zero, 0, false
 		}
-	}
-}
-
-// bufTryDelete pops buffered candidates until one take succeeds (skipping
-// entries taken elsewhere and, with a Drop callback, discarding dropped
-// items) or the buffer cannot serve (empty, invalidated, or refill found
-// nothing). hit reports whether a key was returned.
-func (h *Handle[V]) bufTryDelete() (key uint64, value V, seq uint64, hit bool) {
-	drop := h.q.cfg.Drop
-	for {
-		e, ok := h.bufNext()
-		if !ok {
-			if !h.bufRefill() {
-				var zero V
-				return 0, zero, 0, false
-			}
-			continue
+		e := h.buf[h.bufPos]
+		if e.Key > bound {
+			var zero V
+			return 0, zero, 0, false
 		}
+		h.buf[h.bufPos] = item.Snap[V]{}
+		h.bufPos++
 		if e.It.TryTakeAt(e.Ver) {
 			h.deleted.Add(1)
 			h.BufPops.Add(1)

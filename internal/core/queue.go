@@ -546,8 +546,9 @@ func (h *Handle[V]) Insert(key uint64, value V) {
 // InsertSeq is Insert with a durability sequence number stamped on the item
 // before publication. The persistence layer assigns each insert a unique seq
 // and logs it to the write-ahead log; stamping it here lets the matching
-// delete record (TryDeleteMinSeq) identify exactly which insert it consumed,
-// no matter how many merges, spies or melds the item traveled through.
+// delete record (TryDeleteMinBoundedSeq) identify exactly which insert it
+// consumed, no matter how many merges, spies or melds the item traveled
+// through.
 func (h *Handle[V]) InsertSeq(key uint64, value V, seq uint64) {
 	it := h.items.Get(key, value)
 	it.SetSeq(seq)
@@ -675,6 +676,11 @@ func (h *Handle[V]) InsertBatchSeqs(keys []uint64, values []V, seqs []uint64) {
 	h.batchScratch = its[:0]
 }
 
+// noBound is the bound of the unbounded delete-min: every key is at or
+// below it, so TryDeleteMin is TryDeleteMinBoundedSeq at the top of the key
+// space and the two share one loop.
+const noBound = ^uint64(0)
+
 // DrainMin removes up to max items through the relaxed delete-min, invoking
 // emit for each key/payload in pop order, and returns the number removed. It
 // stops early when TryDeleteMin fails — which, after its unsuccessful spy
@@ -683,13 +689,19 @@ func (h *Handle[V]) InsertBatchSeqs(keys []uint64, values []V, seqs []uint64) {
 // candidate window persists across the pops, so a steady-state drain costs
 // one window build plus max O(1) pops rather than max full scans.
 func (h *Handle[V]) DrainMin(max int, emit func(key uint64, value V)) int {
-	return h.DrainMinSeq(max, func(k uint64, v V, _ uint64) { emit(k, v) })
+	return h.DrainMinBoundedSeq(noBound, max, func(k uint64, v V, _ uint64) { emit(k, v) })
 }
 
-// DrainMinSeq is DrainMin with the durability sequence number of each popped
-// item passed to emit (see TryDeleteMinSeq); the persistence layer drains
-// through it so every pop can be logged as a (key, seq) delete record.
-func (h *Handle[V]) DrainMinSeq(max int, emit func(key uint64, value V, seq uint64)) int {
+// DrainMinBoundedSeq removes up to max items with keys at or below bound,
+// invoking emit for each in pop order with its durability sequence number
+// (see TryDeleteMinBoundedSeq), and returns the number removed. It stops
+// early when TryDeleteMinBoundedSeq fails — after its spy pass, the
+// strongest "nothing due" signal the structure offers. Each pop
+// individually satisfies the ρ = T·k bound and local ordering; relative
+// order of pops within the bound is relaxed exactly like DrainMin's. The
+// persistence layer drains through it so every pop can be logged as a
+// (key, seq) delete record; bound ^uint64(0) drains like DrainMin.
+func (h *Handle[V]) DrainMinBoundedSeq(bound uint64, max int, emit func(key uint64, value V, seq uint64)) int {
 	if max > delBufSize {
 		// Let refills inside this drain batch up to the drain size, so a
 		// large drain costs O(max / fill) refills instead of max / delBufSize.
@@ -697,7 +709,7 @@ func (h *Handle[V]) DrainMinSeq(max int, emit func(key uint64, value V, seq uint
 		defer func() { h.fillHint = 0 }()
 	}
 	for n := 0; n < max; n++ {
-		k, v, s, ok := h.TryDeleteMinSeq()
+		k, v, s, ok := h.TryDeleteMinBoundedSeq(bound)
 		if !ok {
 			return n
 		}
@@ -744,6 +756,27 @@ func (h *Handle[V]) findMinCandidate() *item.Item[V] {
 // claimed and discarded here instead of being returned, so TryDeleteMin
 // never surfaces a dropped item (slightly stronger than the paper's
 // maintenance-time-only lazy deletion).
+func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
+	key, value, _, ok = h.TryDeleteMinBoundedSeq(noBound)
+	return key, value, ok
+}
+
+// TryDeleteMinBoundedSeq is TryDeleteMin restricted to keys at or below
+// bound and additionally returning the durability sequence number stamped on
+// the deleted item by InsertSeq (zero for items inserted without one). It is
+// the one delete-min loop: bound ^uint64(0) is TryDeleteMin. The
+// persistence layer logs a delete record as (key, seq) so recovery can
+// cancel exactly the consumed insert.
+//
+// A bounded call claims and returns a relaxed-minimal item only when that
+// item's key is <= bound, and returns false without claiming anything once
+// every reachable candidate exceeds the bound. It is the deadline primitive
+// ("pop everything due by now") the timer subsystem drains through. A false
+// return means no key <= bound was reachable — including, unlike
+// TryDeleteMin's emptiness, keys stranded in idle handles' local
+// structures, which a due-bounded spy pass (spyDue) pulls in before
+// concluding dryness. Candidates above the bound are left untouched and
+// unordered relative to this call.
 //
 // The common case is a deletion-buffer pop (see delbuf.go): one anchor
 // check, one version-stamped CAS, zero shared-structure walks. When the
@@ -755,21 +788,13 @@ func (h *Handle[V]) findMinCandidate() *item.Item[V] {
 // proves nothing smaller can be on the shared side
 // (sharedlsm.SkipShared), the shared side is skipped outright — both the ρ
 // bound and local ordering hold for the local minimum.
-func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
-	key, value, _, ok = h.TryDeleteMinSeq()
-	return key, value, ok
-}
-
-// TryDeleteMinSeq is TryDeleteMin additionally returning the durability
-// sequence number stamped on the deleted item by InsertSeq (zero for items
-// inserted without one). The persistence layer logs a delete record as
-// (key, seq) so recovery can cancel exactly the consumed insert.
-func (h *Handle[V]) TryDeleteMinSeq() (key uint64, value V, seq uint64, ok bool) {
-	if k, v, s, hit := h.bufTryDelete(); hit {
+func (h *Handle[V]) TryDeleteMinBoundedSeq(bound uint64) (key uint64, value V, seq uint64, ok bool) {
+	if k, v, s, hit := h.bufTryDelete(bound); hit {
 		return k, v, s, true
 	}
 	drop := h.q.cfg.Drop
 	mode := h.q.cfg.Mode
+	spied := false
 	for {
 		var local *item.Item[V]
 		var shared item.Snap[V]
@@ -798,8 +823,12 @@ func (h *Handle[V]) TryDeleteMinSeq() (key uint64, value V, seq uint64, ok bool)
 			if sharedOK && (local == nil || shared.Key < local.Key()) {
 				it, ver, fromShared = shared.It, shared.Ver, true
 			}
-			if it == nil {
-				break // both sides empty: fall through to spy
+			if it == nil || it.Key() > bound {
+				// Both sides dry below the bound. (A candidate above the
+				// bound proves dryness the same way emptiness does: it is a
+				// relaxed minimum, so everything reachable from here is >=
+				// it > bound.) Fall through to the spy.
+				break
 			}
 			var won bool
 			if fromShared {
@@ -829,10 +858,19 @@ func (h *Handle[V]) TryDeleteMinSeq() (key uint64, value V, seq uint64, ok bool)
 				}
 			}
 		}
-		if !h.spy() {
-			var zero V
-			return 0, zero, 0, false
+		if bound == noBound {
+			// Listing 5: spy while spying yields items.
+			if h.spy() {
+				continue
+			}
+		} else if !spied && h.spyDue(bound) {
+			// An ordinary spy only fires on an empty handle, so a due key in
+			// an idle handle needs one due-bounded sweep.
+			spied = true
+			continue
 		}
+		var zero V
+		return 0, zero, 0, false
 	}
 }
 
@@ -935,122 +973,6 @@ func (h *Handle[V]) spyDue(bound uint64) bool {
 		h.bufInvalidate()
 	}
 	return copied
-}
-
-// TryDeleteMinBounded is TryDeleteMin restricted to keys at or below bound:
-// it claims and returns a relaxed-minimal item only when that item's key is
-// <= bound, and returns false without claiming anything once every reachable
-// candidate exceeds the bound. It is the deadline primitive ("pop everything
-// due by now") the timer subsystem drains through. A false return means no
-// key <= bound was reachable — including, unlike TryDeleteMin's emptiness,
-// keys stranded in idle handles' local structures, which a due-bounded spy
-// pass (spyDue) pulls in before concluding dryness. Candidates above the
-// bound are left untouched and unordered relative to this call.
-func (h *Handle[V]) TryDeleteMinBounded(bound uint64) (key uint64, value V, ok bool) {
-	key, value, _, ok = h.TryDeleteMinBoundedSeq(bound)
-	return key, value, ok
-}
-
-// TryDeleteMinBoundedSeq is TryDeleteMinBounded additionally returning the
-// item's durability sequence number, mirroring TryDeleteMinSeq.
-func (h *Handle[V]) TryDeleteMinBoundedSeq(bound uint64) (key uint64, value V, seq uint64, ok bool) {
-	if k, v, s, hit := h.bufTryDeleteBounded(bound); hit {
-		return k, v, s, true
-	}
-	drop := h.q.cfg.Drop
-	mode := h.q.cfg.Mode
-	spied := false
-	for {
-		var local *item.Item[V]
-		var shared item.Snap[V]
-		var haveShared, sharedOK bool
-		haveShared = mode == DistOnly
-		if mode != SharedOnly {
-			local = h.dist.FindMin()
-		}
-		for {
-			if !haveShared {
-				if local != nil && h.q.shared.SkipShared(h.cursor, local.Key()) {
-					// Skip-shared fast path: nothing smaller over there.
-				} else {
-					shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
-					haveShared = true
-				}
-			}
-			var it *item.Item[V]
-			var ver uint64
-			fromShared := false
-			if local != nil {
-				it, ver = local, 0
-			}
-			if sharedOK && (local == nil || shared.Key < local.Key()) {
-				it, ver, fromShared = shared.It, shared.Ver, true
-			}
-			if it == nil || it.Key() > bound {
-				// Both sides dry below the bound. (A candidate above the
-				// bound proves dryness the same way emptiness does: it is a
-				// relaxed minimum, so everything reachable from here is >=
-				// it > bound.) Fall through to the due-bounded spy.
-				break
-			}
-			var won bool
-			if fromShared {
-				won = it.TryTakeAt(ver)
-			} else {
-				won = it.TryTake()
-			}
-			if won {
-				h.deleted.Add(1)
-				if drop == nil || !drop(it.Key(), it.Value()) {
-					return it.Key(), it.Value(), it.Seq(), true
-				}
-				// Filter-positive: discard and keep looking.
-			}
-			if fromShared {
-				shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
-			} else {
-				local = h.dist.FindMin()
-				if mode == Combined {
-					haveShared = haveShared && sharedOK
-				}
-			}
-		}
-		if spied || !h.spyDue(bound) {
-			var zero V
-			return 0, zero, 0, false
-		}
-		spied = true
-	}
-}
-
-// DrainMinBounded removes up to max items with keys at or below bound,
-// invoking emit for each in pop order, and returns the number removed. It
-// stops early when TryDeleteMinBounded fails — after its due-bounded spy
-// pass, the strongest "nothing due" signal the structure offers. Each pop
-// individually satisfies the ρ = T·k bound and local ordering; relative
-// order of pops within the bound is relaxed exactly like DrainMin's.
-func (h *Handle[V]) DrainMinBounded(bound uint64, max int, emit func(key uint64, value V)) int {
-	return h.DrainMinBoundedSeq(bound, max, func(k uint64, v V, _ uint64) { emit(k, v) })
-}
-
-// DrainMinBoundedSeq is DrainMinBounded with each pop's durability sequence
-// number passed to emit, mirroring DrainMinSeq.
-func (h *Handle[V]) DrainMinBoundedSeq(bound uint64, max int, emit func(key uint64, value V, seq uint64)) int {
-	if max > delBufSize {
-		h.fillHint = max
-		defer func() { h.fillHint = 0 }()
-	}
-	for n := 0; n < max; n++ {
-		k, v, s, ok := h.TryDeleteMinBoundedSeq(bound)
-		if !ok {
-			return n
-		}
-		emit(k, v, s)
-	}
-	if max < 0 {
-		return 0
-	}
-	return max
 }
 
 // Compact physically reclaims logically deleted and Drop-filtered items from

@@ -169,25 +169,6 @@ func TestStickyHintCrossPublication(t *testing.T) {
 	}
 }
 
-// TestStickyHintDisabled: with a zero sticky budget the hint dies with its
-// array — the pre-sticky MinHint behavior.
-func TestStickyHintDisabled(t *testing.T) {
-	s := New[int](4, true)
-	s.SetStickyHint(0)
-	c := newCursor(s, 1)
-	insertKeys(s, c, 100)
-	if s.FindMin(c) == nil {
-		t.Fatal("FindMin found nothing")
-	}
-	if !s.SkipShared(c, 50) {
-		t.Fatal("exact-array skip denied")
-	}
-	insertKeys(s, c, 150)
-	if s.SkipShared(c, 50) {
-		t.Fatal("cross-publication skip granted with stickiness disabled")
-	}
-}
-
 // TestMinCachingWindowExhaustion drains far past one window's worth of
 // candidates so exhaustion → pivot recalculation → rebuild cycles are
 // exercised.

@@ -19,7 +19,7 @@ const (
 	sharedLimboCapReclaim = 2048
 )
 
-// stickyHintOps is the default sticky skip-shared budget: how many
+// stickyHintOps is the sticky skip-shared budget: how many
 // consecutive skip-shared decisions a cursor may re-validate across shared
 // publications (the MultiQueue-style sticky hint, see SkipShared) before it
 // must query the shared side again.
@@ -60,10 +60,6 @@ type Shared[V any] struct {
 	// never skips its own items. On by default; the ablation benchmark
 	// switches it off.
 	localOrdering bool
-	// stickyOps is the sticky skip-shared budget (stickyHintOps unless
-	// SetStickyHint changed it); 0 disables the sticky extension and the
-	// hint dies with its array, as in MinHint.
-	stickyOps int
 
 	// epoch counts winning publications that dropped blocks.
 	epoch atomic.Uint64
@@ -94,7 +90,7 @@ func New[V any](k int, localOrdering bool) *Shared[V] {
 	if k < 0 {
 		panic("sharedlsm: negative k")
 	}
-	s := &Shared[V]{localOrdering: localOrdering, stickyOps: stickyHintOps}
+	s := &Shared[V]{localOrdering: localOrdering}
 	s.k.Store(int64(k))
 	return s
 }
@@ -102,10 +98,6 @@ func New[V any](k int, localOrdering bool) *Shared[V] {
 // SetDrop installs the lazy-deletion callback used during merges. Must be
 // called before the queue is shared.
 func (s *Shared[V]) SetDrop(drop block.DropFunc[V]) { s.drop = drop }
-
-// SetStickyHint sets the sticky skip-shared budget (default stickyHintOps);
-// 0 disables stickiness. Must be called before the queue is shared.
-func (s *Shared[V]) SetStickyHint(ops int) { s.stickyOps = ops }
 
 // SetGuard installs the queue-wide reader guard gating block reclamation
 // (§4.4). Must be called before the queue is shared; leaving it unset only
@@ -561,7 +553,7 @@ func (s *Shared[V]) localID(c *Cursor[V]) int64 {
 // candWindow).
 func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 	for {
-		if s.ptr.Load() != c.observed {
+		if s.ptr.Load() != c.observed || (c.snapshot != nil && c.snapshot.published) {
 			s.refresh(c)
 		}
 		if c.snapshot == nil {
@@ -716,7 +708,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 	base := len(dst)
 	repivoted := false
 	for {
-		if s.ptr.Load() != c.observed {
+		if s.ptr.Load() != c.observed || (c.snapshot != nil && c.snapshot.published) {
 			s.refresh(c)
 		}
 		if c.snapshot == nil {
@@ -875,7 +867,7 @@ func (s *Shared[V]) SkipShared(c *Cursor[V], localKey uint64) bool {
 		}
 		return false
 	}
-	if s.stickyOps <= 0 || c.hintStreak >= s.stickyOps {
+	if c.hintStreak >= stickyHintOps {
 		c.hintStreak = 0
 		return false
 	}

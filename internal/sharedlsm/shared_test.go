@@ -281,3 +281,34 @@ func BenchmarkSharedInsertK256(b *testing.B) {
 		s.Insert(c, blk)
 	}
 }
+
+// TestNilABARefreshesPublishedSnapshot: a cursor that published array X
+// from an empty queue keeps X as its snapshot while its observed pointer
+// stays nil. Once another cursor drains the queue back to nil, the shared
+// pointer equals observed again; the cursor must still re-snapshot instead
+// of consolidating the published X in place, whose blocks the draining
+// cursor has already retired.
+func TestNilABARefreshesPublishedSnapshot(t *testing.T) {
+	s := New[int](4, true)
+	a, b := newCursor(s, 1), newCursor(s, 2)
+	insertKeys(s, a, 7)
+	x := s.Snapshot()
+	if x == nil || len(x.blocks) != 1 {
+		t.Fatalf("insert into empty queue did not publish one block: %v", x)
+	}
+	if k, ok := deleteMin(s, b); !ok || k != 7 {
+		t.Fatalf("deleteMin = %d, %v; want 7, true", k, ok)
+	}
+	if it := s.FindMin(b); it != nil {
+		t.Fatalf("FindMin after drain = %d", it.Key())
+	}
+	if !s.Empty() {
+		t.Fatal("drain did not publish the empty queue")
+	}
+	if _, ok := s.FindMinSnap(a); ok {
+		t.Fatal("FindMinSnap found a key in the drained queue")
+	}
+	if n := len(x.blocks); n != 1 {
+		t.Fatalf("published array consolidated in place: 1 -> %d blocks", n)
+	}
+}

@@ -311,14 +311,7 @@ func (h *Handle[V]) Insert(key uint64, value V) {
 // will not reappear after a crash (unacknowledged deletes may be
 // redelivered — at-least-once, like any write-behind log).
 func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
-	if p := h.persist(); p != nil {
-		k, v, seq, ok := h.h.TryDeleteMinSeq()
-		if ok {
-			p.appendDelete(k, seq)
-		}
-		return k, v, ok
-	}
-	return h.h.TryDeleteMin()
+	return h.tryDeleteMin(^uint64(0))
 }
 
 // PeekMin returns a key TryDeleteMin could return, without removing it. The
@@ -341,14 +334,19 @@ func (h *Handle[V]) PeekMin() (key uint64, value V, ok bool) {
 // persistent queue a successful delete logs its WAL record like
 // TryDeleteMin.
 func (h *Handle[V]) TryDeleteMinBounded(bound uint64) (key uint64, value V, ok bool) {
-	if p := h.persist(); p != nil {
-		k, v, seq, ok := h.h.TryDeleteMinBoundedSeq(bound)
-		if ok {
-			p.appendDelete(k, seq)
-		}
-		return k, v, ok
+	return h.tryDeleteMin(bound)
+}
+
+// tryDeleteMin is the one delete path behind TryDeleteMin (bound
+// ^uint64(0)) and TryDeleteMinBounded; on a persistent queue a successful
+// delete appends its WAL record.
+func (h *Handle[V]) tryDeleteMin(bound uint64) (key uint64, value V, ok bool) {
+	p := h.persist()
+	key, value, seq, ok := h.h.TryDeleteMinBoundedSeq(bound)
+	if ok && p != nil {
+		p.appendDelete(key, seq)
 	}
-	return h.h.TryDeleteMinBounded(bound)
+	return key, value, ok
 }
 
 // Compact physically reclaims logically deleted and merge-filter-dropped

@@ -140,7 +140,7 @@ func (q *OrderedQueue[K, V]) InsertBatch(keys []K, values []V) {
 func (q *OrderedQueue[K, V]) DrainMin(dst []KV[K, V], n int) []KV[K, V] {
 	h := q.q.borrowHandle()
 	defer q.q.returnHandle(h)
-	return drainMinDecoded(h, q.codec, dst, n)
+	return drainMinDecoded(h, q.codec, dst, n, ^uint64(0))
 }
 
 // DrainMinBounded removes up to n items whose keys are at or below bound (in
@@ -152,7 +152,7 @@ func (q *OrderedQueue[K, V]) DrainMin(dst []KV[K, V], n int) []KV[K, V] {
 func (q *OrderedQueue[K, V]) DrainMinBounded(dst []KV[K, V], n int, bound K) []KV[K, V] {
 	h := q.q.borrowHandle()
 	defer q.q.returnHandle(h)
-	return drainMinBoundedDecoded(h, q.codec, dst, n, q.codec.Encode(bound))
+	return drainMinDecoded(h, q.codec, dst, n, q.codec.Encode(bound))
 }
 
 // SetMergeFilter installs the lazy-deletion filter after construction but
@@ -188,34 +188,11 @@ func insertBatchEncoded[K, V any](h *Handle[V], codec KeyCodec[K], keys []K, val
 	h.InsertBatch(enc, values)
 }
 
-// drainMinDecoded pops up to n items through h, decoding keys into dst,
-// with the same persistence routing as Handle.DrainMin (each pop logs its
-// delete record on a persistent queue).
-func drainMinDecoded[K, V any](h *Handle[V], codec KeyCodec[K], dst []KV[K, V], n int) []KV[K, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinSeq(n, func(k uint64, v V, seq uint64) {
-			p.appendDelete(k, seq)
-			dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMin(n, func(k uint64, v V) {
-		dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
-	})
-	return dst
-}
-
-// drainMinBoundedDecoded is drainMinDecoded restricted to encoded keys at or
-// below bound; see Handle.DrainMinBounded.
-func drainMinBoundedDecoded[K, V any](h *Handle[V], codec KeyCodec[K], dst []KV[K, V], n int, bound uint64) []KV[K, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinBoundedSeq(bound, n, func(k uint64, v V, seq uint64) {
-			p.appendDelete(k, seq)
-			dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMinBounded(bound, n, func(k uint64, v V) {
+// drainMinDecoded pops up to n items at or below the encoded bound through
+// h, decoding keys into dst, with the same persistence routing as
+// Handle.DrainMin (each pop logs its delete record on a persistent queue).
+func drainMinDecoded[K, V any](h *Handle[V], codec KeyCodec[K], dst []KV[K, V], n int, bound uint64) []KV[K, V] {
+	h.drain(n, bound, func(k uint64, v V) {
 		dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
 	})
 	return dst
@@ -272,13 +249,13 @@ func (h *OrderedHandle[K, V]) InsertBatch(keys []K, values []V) {
 // DrainMin removes up to n items, appending them to dst in pop order; see
 // Handle.DrainMin for the per-pop contract and early-exit semantics.
 func (h *OrderedHandle[K, V]) DrainMin(dst []KV[K, V], n int) []KV[K, V] {
-	return drainMinDecoded(h.h, h.codec, dst, n)
+	return drainMinDecoded(h.h, h.codec, dst, n, ^uint64(0))
 }
 
 // DrainMinBounded removes up to n items whose keys are at or below bound in
 // codec order, appending them to dst in pop order; see Handle.DrainMinBounded.
 func (h *OrderedHandle[K, V]) DrainMinBounded(dst []KV[K, V], n int, bound K) []KV[K, V] {
-	return drainMinBoundedDecoded(h.h, h.codec, dst, n, h.codec.Encode(bound))
+	return drainMinDecoded(h.h, h.codec, dst, n, h.codec.Encode(bound))
 }
 
 // TryDeleteMinBounded removes and returns a relaxed-minimal key only when it
