@@ -10,7 +10,10 @@
 //
 //   - Pool is a per-handle, level-indexed free list of blocks. It is owned
 //     by exactly one goroutine (like the paper's thread-local free lists)
-//     and never locked.
+//     and never locked. One slot budget (ParkedSlotBudget) bounds what all
+//     its levels park together, so a pool's idle memory is capped however
+//     its block sizes are spread; level 0, the per-insert block, also has
+//     a count cap.
 //   - Private blocks — created by the owner and not yet published — are
 //     recycled immediately via Put the moment they are merged away.
 //   - Published blocks — reachable through a DistLSM slot until the owner
@@ -35,10 +38,10 @@
 // happens exactly where the reuse contract already proves the block
 // unreachable, so the proofs carry over to the items. A release that drops
 // an item's last reference returns the (taken) item to the attached item
-// pool; blocks that overflow the free-list caps or the level bound still
-// release their items before the garbage collector takes the block shell,
-// so deterministic item reuse survives every drop decision except a limbo
-// overflow (counted in LimboLeaked).
+// pool, which shares the queue's item depot; blocks that overrun the slot
+// budget or the level-0 cap still release their items before the garbage
+// collector takes the block shell, so deterministic item reuse survives
+// every drop decision except a limbo overflow (counted in LimboLeaked).
 package block
 
 import (
@@ -87,14 +90,20 @@ func (g *Guard) Quiescent() bool {
 }
 
 const (
-	// freeCapLevel0 and freeCap bound the free list per level; level 0 is
-	// the per-insert allocation and much hotter than the rest.
+	// freeCapLevel0 bounds the level-0 free list, the per-insert
+	// allocation and much hotter than the rest.
 	freeCapLevel0 = 64
-	freeCap       = 4
-	// maxPoolLevel bounds which blocks are pooled at all: clearing a
-	// retired block's slot array is O(capacity), which stops amortizing
-	// against the merge that filled it somewhere around a few MB.
-	maxPoolLevel = 20
+	// ParkedSlotBudget bounds the item slots (2^level per block) one pool
+	// parks in its free lists across all levels: 2^22 slots, 32 MiB of
+	// slot arrays. A block that would overrun it falls to the garbage
+	// collector, so a block larger than the whole budget is never pooled.
+	// Under a steady 1e6-key load the budget is what keeps the shared
+	// k-LSM's large merge results (up to 8 MiB each) in circulation: at
+	// 2^19 slots they fell to the GC and the allocation rate tripled.
+	ParkedSlotBudget = 1 << maxParkedLevel
+	// maxParkedLevel is the level of a block that alone spends the budget,
+	// the largest level a free list can hold.
+	maxParkedLevel = 22
 	// limboCap bounds the not-yet-quiescent retired list; overflow is
 	// dropped to the garbage collector. With item reclamation on, a dropped
 	// limbo block would leak its item references (the items fall back to
@@ -112,7 +121,10 @@ type PoolStats struct {
 	Hits    int64 // Gets served from the free list
 	Puts    int64 // blocks recycled (immediately or via limbo)
 	Retired int64 // Retire calls
-	Dropped int64 // blocks abandoned to the GC (caps or level bound)
+	Dropped int64 // blocks abandoned to the GC (level-0 cap or slot budget)
+	// ParkedSlots is a gauge, not a counter: the slots the free lists park
+	// right now, at most ParkedSlotBudget.
+	ParkedSlots int64
 
 	// Item-reclamation counters (§4.4 proper); zero without SetItemPool.
 	ItemsReclaimed int64 // taken items returned to the item pool by a final Unref
@@ -128,8 +140,11 @@ type Pool[V any] struct {
 	// items, when set, turns on §4.4 item reclamation: blocks from this
 	// pool refcount their slots and release them here on recycle or drop.
 	items *item.Pool[V]
-	free  [maxPoolLevel + 1][]*Block[V]
-	limbo []*Block[V]
+	free  [maxParkedLevel + 1][]*Block[V]
+	// parked counts the slots held by the free lists, against
+	// ParkedSlotBudget.
+	parked int
+	limbo  []*Block[V]
 	// limboItems parks dropped-item references (transfer-merge drops)
 	// until the guard proves their donor blocks unreadable.
 	limboItems []*item.Item[V]
@@ -165,11 +180,12 @@ func (p *Pool[V]) Get(level int) *Block[V] {
 	p.stats.Gets++
 	p.reapLimbo()
 	reclaim := p.items != nil
-	if level <= maxPoolLevel {
+	if level <= maxParkedLevel {
 		if fl := p.free[level]; len(fl) > 0 {
 			b := fl[len(fl)-1]
 			fl[len(fl)-1] = nil
 			p.free[level] = fl[:len(fl)-1]
+			p.parked -= len(b.items)
 			p.stats.Hits++
 			b.refItems = reclaim
 			return b
@@ -246,7 +262,7 @@ func (p *Pool[V]) Put(b *Block[V]) {
 		panic("block: Put discards pending drop references")
 	}
 	level := b.level
-	if level > maxPoolLevel || len(p.free[level]) >= p.freeCap(level) {
+	if p.parked+len(b.items) > ParkedSlotBudget || level == 0 && len(p.free[0]) >= freeCapLevel0 {
 		p.stats.Dropped++
 		return
 	}
@@ -254,6 +270,7 @@ func (p *Pool[V]) Put(b *Block[V]) {
 	b.filled.Store(0)
 	b.filter = 0
 	p.stats.Puts++
+	p.parked += len(b.items)
 	p.free[level] = append(p.free[level], b)
 }
 
@@ -391,6 +408,7 @@ func (p *Pool[V]) TrimFree() {
 		clear(p.free[level])
 		p.free[level] = p.free[level][:0]
 	}
+	p.parked = 0
 }
 
 // reapLimbo opportunistically recycles parked blocks once quiescence is
@@ -416,14 +434,6 @@ func (p *Pool[V]) drainLimbo() {
 	p.limboItems = p.limboItems[:0]
 }
 
-// freeCap returns the free-list bound for a level.
-func (p *Pool[V]) freeCap(level int) int {
-	if level == 0 {
-		return freeCapLevel0
-	}
-	return freeCap
-}
-
 // Guard returns the guard retire operations are gated on (nil for a nil or
 // unguarded pool). Readers of published blocks bracket themselves with it.
 func (p *Pool[V]) Guard() *Guard {
@@ -439,5 +449,7 @@ func (p *Pool[V]) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	return p.stats
+	st := p.stats
+	st.ParkedSlots = int64(p.parked)
+	return st
 }

@@ -62,25 +62,31 @@ func TestPoolGetPutReuse(t *testing.T) {
 
 func TestPoolLevelAndCapBounds(t *testing.T) {
 	p := NewPool[int](nil)
-	// Over-level blocks are never pooled.
-	big := p.Get(maxPoolLevel + 1)
-	p.Put(big)
-	if p.Get(maxPoolLevel+1) == big {
-		t.Fatal("pooled a block above maxPoolLevel")
+	// Level 0 keeps its own count cap.
+	for i := 0; i < freeCapLevel0+2; i++ {
+		p.Put(New[int](0))
 	}
-	// Free list caps drop the excess.
-	var blocks []*Block[int]
-	for i := 0; i < freeCap+2; i++ {
-		blocks = append(blocks, New[int](5))
+	if got := len(p.free[0]); got != freeCapLevel0 {
+		t.Fatalf("level-0 free list len = %d, want cap %d", got, freeCapLevel0)
 	}
-	for _, b := range blocks {
-		p.Put(b)
+	// Every level shares one slot budget: four quarter-budget blocks spend
+	// it, after which any block drops, and Get hands the slots back.
+	p = NewPool[int](nil)
+	const level = maxParkedLevel - 2
+	for i := 0; i < 4; i++ {
+		p.Put(New[int](level))
 	}
-	if got := len(p.free[5]); got != freeCap {
-		t.Fatalf("free list len = %d, want cap %d", got, freeCap)
+	if st := p.Stats(); st.ParkedSlots != ParkedSlotBudget || st.Dropped != 0 {
+		t.Fatalf("parked %d slots, dropped %d; want the full budget %d", st.ParkedSlots, st.Dropped, ParkedSlotBudget)
 	}
-	if p.Stats().Dropped < 2 {
-		t.Fatalf("dropped = %d, want >= 2", p.Stats().Dropped)
+	p.Put(New[int](1))
+	if st := p.Stats(); st.Dropped != 1 || st.ParkedSlots != ParkedSlotBudget {
+		t.Fatalf("over budget: dropped %d, parked %d slots", st.Dropped, st.ParkedSlots)
+	}
+	p.Get(level)
+	p.Put(New[int](1))
+	if got, want := p.Stats().ParkedSlots, int64(ParkedSlotBudget-1<<level+2); got != want {
+		t.Fatalf("after Get and Put: parked %d slots, want %d", got, want)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // item pool.
 func newReclaimPool(g *Guard) (*Pool[int], *item.Pool[int]) {
 	p := NewPool[int](g)
-	ip := item.NewPool[int]()
+	ip := item.NewPool[int](nil)
 	p.SetItemPool(ip)
 	return p, ip
 }
@@ -215,32 +215,30 @@ func TestRetireItemsGatedOnGuard(t *testing.T) {
 }
 
 // TestDroppedBlockStillReleasesItems is the §4.4-proper guarantee on the
-// drop paths: blocks the pool refuses to keep (free-list cap, level bound)
-// must release their item references before falling to the GC.
+// drop paths: blocks the pool refuses to keep (slot budget) must release
+// their item references before falling to the GC.
 func TestDroppedBlockStillReleasesItems(t *testing.T) {
 	p, ip := newReclaimPool(nil)
-	// Overfill level 3's free list (cap 4) so the fifth Put drops.
-	blocks := make([]*Block[int], 5)
+	// Four quarter-budget blocks spend the whole slot budget, so every
+	// further Put drops.
+	var big, blocks [4]*Block[int]
+	for i := range big {
+		big[i] = fillTaken(p, ip, maxParkedLevel-2, 1)
+	}
 	for i := range blocks {
-		blocks[i] = fillTaken(p, ip, 3, 4)
+		blocks[i] = fillTaken(p, ip, 3, 5)
+	}
+	for _, b := range big {
+		p.Put(b)
 	}
 	for _, b := range blocks {
 		p.Put(b)
 	}
-	if got := ip.Puts(); got != 20 {
-		t.Fatalf("reclaimed %d items, want all 20 despite the cap drop", got)
+	if got := ip.Puts(); got != 24 {
+		t.Fatalf("reclaimed %d items, want all 24 despite the budget drops", got)
 	}
-	if st := p.Stats(); st.Dropped == 0 {
-		t.Fatal("expected at least one block drop at the free-list cap")
-	}
-
-	// Same for the level bound: a block above maxPoolLevel is never pooled
-	// but still releases.
-	big := fillTaken(p, ip, maxPoolLevel+1, 16)
-	before := ip.Puts()
-	p.Put(big)
-	if got := ip.Puts() - before; got != 16 {
-		t.Fatalf("over-level block released %d of 16", got)
+	if st := p.Stats(); st.Dropped != 4 || st.ParkedSlots != ParkedSlotBudget {
+		t.Fatalf("dropped %d, parked %d slots; want 4 drops at a full budget", st.Dropped, st.ParkedSlots)
 	}
 }
 

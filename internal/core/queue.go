@@ -123,6 +123,11 @@ type Queue[V any] struct {
 	// retired published block while a reader is active. One guard per queue
 	// — every handle pool and the shared k-LSM share it.
 	guard block.Guard
+	// depot is the queue-wide exchange of recycled item batches every item
+	// pool of this queue spills to and draws from (§4.4), so releases that
+	// land in one handle's pool feed another handle's inserts. Nil with
+	// pooling off.
+	depot *item.Depot[V]
 
 	// The reaper adopts the §4.4 release obligations of closing handles:
 	// limbo blocks and dropped-item references a busy guard kept parked,
@@ -163,8 +168,9 @@ func NewQueue[V any](cfg Config[V]) *Queue[V] {
 	}
 	if !cfg.DisablePooling {
 		q.shared.SetGuard(&q.guard)
+		q.depot = item.NewDepot[V]()
 		if !cfg.DisableItemReclamation {
-			q.reaperItems = item.NewPool[V]()
+			q.reaperItems = item.NewPool(q.depot)
 			q.reaperPool = block.NewPool[V](&q.guard)
 			q.reaperPool.SetItemPool(q.reaperItems)
 		}
@@ -297,9 +303,10 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 	h.cursor = q.shared.NewCursor(id, xrand.NewSeeded(id*0xbf58476d1ce4e5b9+0x3c6ef372))
 	if !q.cfg.DisablePooling {
 		// §4.4 recycling: one block pool and one item pool per handle, all
-		// block pools gated by the queue-wide guard.
+		// block pools gated by the queue-wide guard and all item pools
+		// sharing the queue's depot.
 		h.pool = block.NewPool[V](&q.guard)
-		h.items = item.NewPool[V]()
+		h.items = item.NewPool(q.depot)
 		if !q.cfg.DisableItemReclamation {
 			// §4.4 proper: blocks from this pool refcount their item
 			// slots and release them into the handle's item pool when the
@@ -429,13 +436,16 @@ func (h *Handle[V]) Close() {
 		q.closedReclaim.ItemReuses += r
 		q.reaperPool.Adopt(limbo, limboItems)
 		// The reaper's pools only ever absorb obligations — nothing draws
-		// from them — so drop what the adoption just reclaimed (items and
-		// block shells) to the GC instead of pinning it for the queue's
-		// lifetime. The ledger (Puts) is already counted.
-		q.reaperItems.TrimFree(0)
+		// from them — so hand the items the adoption just reclaimed to the
+		// depot and drop the block shells to the GC instead of pinning them
+		// for the queue's lifetime. The ledger (Puts) is already counted.
+		q.reaperItems.Spill()
 		q.reaperPool.TrimFree()
 		q.reaperMu.Unlock()
 	}
+	// The closing handle's free items, released into its pool by this
+	// handle's limbo drains, go back into circulation too.
+	h.items.Spill()
 }
 
 // Quiesce drives every deferred reclamation step to completion: it
@@ -483,11 +493,11 @@ func (q *Queue[V]) Quiesce() {
 	}
 	// Drain the reaper's adopted limbo: obligations handed over by closed
 	// handles release here once the guard is quiescent. Nothing draws from
-	// the reaper's item pool, so reclaimed items fall to the GC once their
+	// the reaper's item pool, so reclaimed items go to the depot once their
 	// ledger entry is counted.
 	q.reaperMu.Lock()
 	q.reaperPool.DrainLimbo()
-	q.reaperItems.TrimFree(0)
+	q.reaperItems.Spill()
 	q.reaperPool.TrimFree()
 	q.reaperMu.Unlock()
 }

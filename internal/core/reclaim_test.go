@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"klsm/internal/block"
 	"klsm/internal/xrand"
 )
 
@@ -314,5 +315,168 @@ func TestReclaimAccountingFilteredMerges(t *testing.T) {
 	}
 	if rs.ItemPuts != inserted {
 		t.Fatalf("item releases = %d, want exactly %d (filtered claims must release exactly once)", rs.ItemPuts, inserted)
+	}
+}
+
+// TestReclaimSteadyStateFootprint: under a steady load the items §4.4
+// recycling owns must stay bounded. Two handles churn ~1e5 live keys in the
+// hold model (each delete re-inserts its key plus a random increment), so
+// the live count is flat. Releases land in whichever handle's pool proves
+// them, not the one that allocated the item; without the queue-wide depot
+// one handle's free list grows without bound while the other keeps
+// allocating slabs.
+//
+// The items in use (live plus taken items blocks still reference) are not
+// flat: their peak rises whenever the shared structure holds a new largest
+// set of deleted-but-unreleased items, so the slab count legitimately
+// climbs for several rounds under concurrent churn. The test therefore
+// checks the allocation rule that bounds the footprint by that peak: a
+// slab is allocated only when the queue parks at most what one other pool
+// keeps below its spill mark. One goroutine interleaves the handles, so
+// the parked count read between operations is exact and the run is
+// deterministic; in it the slab count settles within the first round. It
+// also checks the block pools' slot budget and, after a drain and Quiesce,
+// the exactly-once ledger.
+func TestReclaimSteadyStateFootprint(t *testing.T) {
+	const (
+		live   = 100_000
+		rounds = 3
+		ops    = 50_000 // delete attempts per handle per round
+		// maxParkedAtAlloc is one pool's spill mark (item.Pool keeps up
+		// to two depot batches of 1024 items): a pool allocates only with
+		// its own list and the depot dry, so only the other handle's
+		// list may hold items then.
+		maxParkedAtAlloc = 2 * 1024
+		// slabSlack is the slab growth tolerated after the first round,
+		// for a later peak of items in use.
+		slabSlack = 8
+	)
+	q := NewQueue(Config[uint64]{K: 256, Mode: Combined, LocalOrdering: true})
+	handles := []*Handle[uint64]{q.NewHandle(), q.NewHandle()}
+	rng := xrand.NewSeeded(5)
+	var inserted int64
+	for i := 0; i < live; i++ {
+		handles[i%2].Insert(rng.Uint64n(1<<40), uint64(i))
+		inserted++
+	}
+
+	// slabs and parked read the pools directly: ReclaimStats per operation
+	// would dominate the run under the race detector.
+	slabs := func() (n int64) {
+		for _, h := range handles {
+			a, _ := h.items.Stats()
+			n += a
+		}
+		return n
+	}
+	parked := func() int {
+		return handles[0].items.FreeLen() + handles[1].items.FreeLen() + q.depot.Len()
+	}
+	var rs ReclaimStats
+	var firstRound int64
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < ops; i++ {
+			for _, h := range handles {
+				slabsBefore, parkedBefore := slabs(), parked()
+				if k, v, ok := h.TryDeleteMin(); ok {
+					h.Insert(k+rng.Uint64n(1<<40), v)
+					inserted++
+				}
+				if slabs() > slabsBefore && parkedBefore > maxParkedAtAlloc {
+					t.Fatalf("round %d: slab %d allocated with %d items parked (at most %d allowed)",
+						r, slabs(), parkedBefore, maxParkedAtAlloc)
+				}
+			}
+		}
+		rs = q.ReclaimStats()
+		t.Logf("round %d: slabs=%d reuses=%d parked items=%d block slots=%d",
+			r, rs.ItemSlabAllocs, rs.ItemReuses, rs.ParkedItems, rs.ParkedBlockSlots)
+		for i, h := range handles {
+			if got := h.PoolStats().ParkedSlots; got > block.ParkedSlotBudget {
+				t.Fatalf("round %d: handle %d parks %d block slots, budget %d",
+					r, i, got, block.ParkedSlotBudget)
+			}
+		}
+		if r == 0 {
+			firstRound = rs.ItemSlabAllocs
+		}
+	}
+	if growth := rs.ItemSlabAllocs - firstRound; growth > slabSlack {
+		t.Fatalf("item slabs grew by %d after the first round, want at most %d", growth, slabSlack)
+	}
+
+	drainAll(t, q, handles[0])
+	q.Quiesce()
+	rs = q.ReclaimStats()
+	if rs.ItemsLostLive != 0 || rs.LimboLeaked != 0 {
+		t.Fatalf("lost live %d, limbo leaked %d", rs.ItemsLostLive, rs.LimboLeaked)
+	}
+	if rs.ItemPuts != inserted {
+		t.Fatalf("item releases = %d, want exactly %d", rs.ItemPuts, inserted)
+	}
+}
+
+// TestReclaimHandleChurnFeedsDepot: short-lived handles — a goroutine per
+// request registering, working and closing — must not allocate fresh item
+// slabs forever. A closing handle hands its free items (and its slab's
+// uncarved rest) to the queue's depot, and the next handle draws them
+// before allocating; without that, every new handle starts from an empty
+// pool and every closed one strands its free list. The prefill handle is
+// closed, not kept idle: an idle handle's cursor pins the shared k-LSM's
+// limbo epoch, so retired shared blocks would pile up to the limbo cap and
+// fall to the GC with their items whatever the pools do.
+func TestReclaimHandleChurnFeedsDepot(t *testing.T) {
+	const (
+		live       = 10_000
+		iterations = 120
+		warmup     = 40
+		perHandle  = 2_000
+	)
+	q := NewQueue(Config[uint64]{K: 64, Mode: Combined, LocalOrdering: true})
+	rng := xrand.NewSeeded(9)
+	var inserted int64
+	prefill := q.NewHandle()
+	for i := 0; i < live; i++ {
+		prefill.Insert(rng.Uint64n(1<<40), uint64(i))
+		inserted++
+	}
+	prefill.Close()
+	var warm int64
+	for it := 0; it < iterations; it++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h := q.NewHandle()
+			defer h.Close()
+			for i := 0; i < perHandle; i++ {
+				h.Insert(rng.Uint64n(1<<40), uint64(i))
+				inserted++
+			}
+			for n := 0; n < perHandle; {
+				if _, _, ok := h.TryDeleteMin(); ok {
+					n++
+				}
+			}
+		}()
+		<-done
+		if it == warmup-1 {
+			warm = q.ReclaimStats().ItemSlabAllocs
+		}
+	}
+	rs := q.ReclaimStats()
+	t.Logf("slabs after warm-up %d, at the end %d; parked items %d", warm, rs.ItemSlabAllocs, rs.ParkedItems)
+	if rs.ItemSlabAllocs != warm {
+		t.Fatalf("item slabs grew from %d to %d over %d handle lifetimes after warm-up",
+			warm, rs.ItemSlabAllocs, iterations-warmup)
+	}
+
+	drainAll(t, q, q.NewHandle())
+	q.Quiesce()
+	rs = q.ReclaimStats()
+	if rs.ItemsLostLive != 0 || rs.LimboLeaked != 0 {
+		t.Fatalf("lost live %d, limbo leaked %d", rs.ItemsLostLive, rs.LimboLeaked)
+	}
+	if rs.ItemPuts != inserted {
+		t.Fatalf("item releases = %d, want exactly %d", rs.ItemPuts, inserted)
 	}
 }

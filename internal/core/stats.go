@@ -73,6 +73,14 @@ type ReclaimStats struct {
 	// references unreleased (per-handle pools plus the shared structure) —
 	// the one GC fallback left with reclamation on.
 	LimboLeaked int64
+	// ParkedItems and ParkedBlockSlots are gauges, not lifetime totals:
+	// the recycled items waiting for reuse right now (the open handles'
+	// and the reaper's item free lists plus the queue's depot), and the
+	// block slots the open handles' and the reaper's block free lists park
+	// (each pool at most block.ParkedSlotBudget). Together they are the
+	// memory §4.4 recycling holds beyond the live structure.
+	ParkedItems      int64
+	ParkedBlockSlots int64
 }
 
 // ReclaimStats returns the aggregated reclamation counters, including
@@ -90,6 +98,8 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 		a, r := h.items.Stats()
 		rs.ItemSlabAllocs += a
 		rs.ItemReuses += r
+		rs.ParkedItems += int64(h.items.FreeLen())
+		rs.ParkedBlockSlots += ps.ParkedSlots
 	}
 	q.reaperMu.Lock()
 	cr := q.closedReclaim
@@ -99,8 +109,11 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 		cr.ItemsLostLive += ps.ItemsLostLive
 		cr.LimboLeaked += ps.LimboLeaked
 		cr.ItemPuts += q.reaperItems.Puts()
+		rs.ParkedItems += int64(q.reaperItems.FreeLen())
+		rs.ParkedBlockSlots += ps.ParkedSlots
 	}
 	q.reaperMu.Unlock()
+	rs.ParkedItems += int64(q.depot.Len())
 	rs.ItemsReclaimed += cr.ItemsReclaimed
 	rs.ItemPuts += cr.ItemPuts
 	rs.ItemReuses += cr.ItemReuses

@@ -51,7 +51,7 @@ func TestPoolPutPanicsOnLiveItem(t *testing.T) {
 			t.Fatal("Put of a live item did not panic")
 		}
 	}()
-	NewPool[int]().Put(New[int](1, 1))
+	NewPool[int](nil).Put(New[int](1, 1))
 }
 
 // TestTryTakeReuseExactlyOnce is the ABA scenario §4.4 guards against: many
@@ -121,7 +121,7 @@ func TestTryTakeReuseExactlyOnce(t *testing.T) {
 }
 
 func TestPoolRecyclesAndSlabs(t *testing.T) {
-	p := NewPool[int]()
+	p := NewPool[int](nil)
 	first := p.Get(1, 10)
 	if first.Key() != 1 || first.Value() != 10 || first.Taken() {
 		t.Fatal("bad pooled item")

@@ -12,7 +12,7 @@ import (
 // what core does per handle with item reclamation on.
 func newReclaimCursor(s *Shared[int], g *block.Guard, id uint64) (*Cursor[int], *block.Pool[int], *item.Pool[int]) {
 	p := block.NewPool[int](g)
-	ip := item.NewPool[int]()
+	ip := item.NewPool[int](nil)
 	p.SetItemPool(ip)
 	c := s.NewCursor(id, xrand.NewSeeded(id*77+13))
 	c.SetPool(p)

@@ -82,7 +82,8 @@ func WithPooling(enabled bool) Option {
 // the structure, transferred through every local merge instead of being
 // re-acquired, and released when its lineage dies — under the same
 // quiescence proofs that govern block reuse. When the last reference on a
-// deleted item drops, it returns to a per-handle free list and is reused
+// deleted item drops, it returns to a per-handle free list, which trades
+// batches with the other handles' through a queue-wide depot, and is reused
 // by a later insert, instead of waiting for the garbage collector.
 // Disabling it keeps block pooling but leaves deleted items to the GC (the
 // ablation baseline and an escape hatch); semantics are identical either
